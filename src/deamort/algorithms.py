@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .model import BstOp, ModelTree, Trace
+from .model import BstOp, ModelTree, Trace, walk_ops
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
@@ -40,32 +40,12 @@ class OnlineBstAlgorithm:
             raise KeyError(f"key {key} outside 1..{self.n}")
 
 
-def _walk_ops(tree: ModelTree, target: int) -> list[BstOp]:
-    """Finger walk from the current position to ``target`` along tree edges,
-    through the nearest common ancestor."""
-    f = tree.finger
-    up: list[int] = [f]
-    v = f
-    while tree.parent[v]:
-        v = tree.parent[v]
-        up.append(v)
-    fpath = up[::-1]  # root..finger
-    kpath = tree.path_from_root(target)
-    c = 0
-    while c < len(fpath) and c < len(kpath) and fpath[c] == kpath[c]:
-        c += 1
-    ops = [_P] * (len(fpath) - c)
-    for i in range(c - 1, len(kpath) - 1):
-        ops.append(_L if kpath[i + 1] == tree.left[kpath[i]] else _R)
-    return ops
-
-
 class StaticAlgorithm(OnlineBstAlgorithm):
     """Walks the finger to the key and leaves the tree untouched."""
 
     def access_stream(self, key: int) -> Iterator[list[BstOp]]:
         self._require_key(key)
-        ops = _walk_ops(self.tree, key)
+        ops = walk_ops(self.tree.left, self.tree.parent, self.tree.finger, key)
         for op in ops:
             self.tree.apply_op(op)
         yield ops
@@ -77,7 +57,7 @@ class MoveToRootAlgorithm(OnlineBstAlgorithm):
     def access_stream(self, key: int) -> Iterator[list[BstOp]]:
         self._require_key(key)
         t = self.tree
-        ops = _walk_ops(t, key)
+        ops = walk_ops(t.left, t.parent, t.finger, key)
         for op in ops:
             t.apply_op(op)
         while t.parent[key]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class BstOp(IntEnum):
@@ -225,17 +225,6 @@ class ModelTree:
             return False
         return True
 
-    def in_order(self) -> Iterator[int]:
-        stack: list[int] = []
-        v = self.root
-        while stack or v:
-            while v:
-                stack.append(v)
-                v = self.left[v]
-            v = stack.pop()
-            yield v
-            v = self.right[v]
-
     # -- operations ---------------------------------------------------------
 
     def apply_op(self, op: BstOp) -> None:
@@ -396,6 +385,28 @@ class ModelTree:
         if len(parents) != n:
             raise MalformedTreeError(0, f"expected {n} parent entries, got {len(parents)}")
         return cls(parents)
+
+
+def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> list[BstOp]:
+    """Finger moves from ``src`` to ``dst`` along tree edges, through their
+    nearest common ancestor."""
+    spath = [src]
+    while parent[src]:
+        src = parent[src]
+        spath.append(src)
+    dpath = [dst]
+    while parent[dst]:
+        dst = parent[dst]
+        dpath.append(dst)
+    spath.reverse()
+    dpath.reverse()
+    c = 0
+    while c < len(spath) and c < len(dpath) and spath[c] == dpath[c]:
+        c += 1
+    ops = [BstOp.PARENT] * (len(spath) - c)
+    for i in range(c - 1, len(dpath) - 1):
+        ops.append(BstOp.LEFT if left[dpath[i]] == dpath[i + 1] else BstOp.RIGHT)
+    return ops
 
 
 def _balanced_parents(n: int) -> list[int]:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .model import BstOp, Trace
+from .model import BstOp, Trace, walk_ops
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
@@ -152,27 +152,7 @@ class StandaloneEngine:
         return d
 
     def walk_to(self, v: int) -> None:
-        if self.finger == v:
-            return
-        up: list[int] = [v]
-        u = v
-        while self.parent[u]:
-            u = self.parent[u]
-            up.append(u)
-        vpath = up[::-1]
-        f = self.finger
-        fup = [f]
-        while self.parent[f]:
-            f = self.parent[f]
-            fup.append(f)
-        fpath = fup[::-1]
-        c = 0
-        while c < len(fpath) and c < len(vpath) and fpath[c] == vpath[c]:
-            c += 1
-        for _ in range(len(fpath) - c):
-            self._emit(_P)
-        for i in range(c - 1, len(vpath) - 1):
-            self._emit(_L if self.left[vpath[i]] == vpath[i + 1] else _R)
+        self.ops.extend(walk_ops(self.left, self.parent, self.finger, v))
         self.finger = v
 
     def rotate_up(self, v: int) -> None:
@@ -768,12 +748,6 @@ def _check_inorder(pt: _PopTartBase, rep: InvariantReport) -> None:
     keys = pt.engine.in_order_keys()
     if keys != sorted(keys):
         rep.fail("symmetric key order broken")
-
-
-def _is_perfect(eng: StandaloneEngine, v: int) -> bool:
-    """A crumb is perfect: every internal node has two children at equal height."""
-    h = _crumb_height(eng, v)
-    return h >= 0
 
 
 def _crumb_height(eng: StandaloneEngine, v: int) -> int:

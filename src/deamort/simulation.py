@@ -16,6 +16,12 @@ the physical root plus stack rebalancing, so the physical finger starts and
 ends each burst at the physical root and every node's physical depth stays
 logarithmic in the weight ratio. Virtual bookkeeping is free; only physical
 operations are emitted and counted.
+
+In lazy mode the physical tree starts as the original tree, and each subtree
+stays in its original shape until the finger first enters it. The region is
+then rebuilt by the same block builder the eager layout uses, run silently on
+the live arrays to find the target shape, and rotated into place with
+counted operations, leaving its hanging subtrees raw in turn.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
-from .model import BstOp, IllegalOpError, ModelTree, Trace
+from .model import BstOp, IllegalOpError, ModelTree, Trace, walk_ops
 from .poptart import ChocolatePopTart
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
@@ -154,55 +160,40 @@ class _BlockCtl:
     R: ChocolatePopTart
 
 
-class _IdentityKeys:
-    def __getitem__(self, v: int) -> int:
-        return v
-
-
 class _BlockRootView:
-    def __init__(self, sim: "Simulator"):
-        self._sim = sim
+    def __init__(self, blocks: dict):
+        self._blocks = blocks
 
     def __getitem__(self, v: int) -> bool:
-        return v in self._sim.blocks
+        return v in self._blocks
 
 
 class _SimEngine:
-    """Controller engine backed by the shared physical tree."""
+    """Controller engine over the simulator's shared physical arrays."""
 
     def __init__(self, sim: "Simulator", mirror: bool):
-        self.sim = sim
         self.mirror = mirror
-        self.key = _IdentityKeys()
-        self.is_leaf = _BlockRootView(sim)
-
-    @property
-    def left(self):
-        return self.sim.bleft
-
-    @property
-    def right(self):
-        return self.sim.bright
-
-    @property
-    def parent(self):
-        return self.sim.bparent
-
-    @property
-    def weight(self):
-        return self.sim.w
+        self.rotate_up = sim._rot_at
+        self.left = sim.bleft
+        self.right = sim.bright
+        self.parent = sim.bparent
+        self.weight = sim.w
+        self.wsub = sim.wsub
+        self.key = range(sim.vt.n + 1)
+        self.is_leaf = _BlockRootView(sim.blocks)
 
     def pchild(self, v: int) -> int:
-        return self.sim.bright[v] if self.mirror else self.sim.bleft[v]
+        return self.right[v] if self.mirror else self.left[v]
 
     def schild(self, v: int) -> int:
-        return self.sim.bleft[v] if self.mirror else self.sim.bright[v]
+        return self.left[v] if self.mirror else self.right[v]
 
     def subtree_weight(self, v: int) -> float:
-        return self.sim.wsub[v] if v else 0.0
+        return self.wsub[v] if v else 0.0
 
-    def rotate_up(self, v: int) -> None:
-        self.sim._rot_at(v)
+
+class PathStackError(RuntimeError):
+    """The virtual finger's parent is not on top of its finger-path stack."""
 
 
 @dataclass
@@ -217,10 +208,23 @@ class Simulator:
     """Physical world for one wrapped algorithm run."""
 
     def __init__(self, vt: VirtualTree, lazy: bool = False):
+        if vt.finger != vt.root:
+            raise ValueError("wrap the algorithm before its first access: the "
+                             "initial layout needs the virtual finger on the root")
         self.vt = vt
         n = vt.n
         self.w = vt.w
-        self.wsub = [0.0] * (n + 1)
+        if lazy:
+            # the physical tree starts as the original one
+            self.bleft = vt.left[:]
+            self.bright = vt.right[:]
+            self.bparent = vt.parent[:]
+            self.wsub = vt.wsub[:]
+        else:
+            self.bleft = [0] * (n + 1)
+            self.bright = [0] * (n + 1)
+            self.bparent = [0] * (n + 1)
+            self.wsub = [0.0] * (n + 1)
         self.blocks: dict[int, _BlockCtl] = {}
         self.entry: dict[int, int] = {}
         self.next_bit: dict[int, bool] = {}
@@ -233,67 +237,59 @@ class Simulator:
         # the finger-path stacks: left side flipped, right side normal
         self.zL = ChocolatePopTart(mirror=True, engine=self.engF, allow_empty_slots=True)
         self.zR = ChocolatePopTart(mirror=False, engine=self.engN, allow_empty_slots=True)
-        self.bleft = [0] * (n + 1)
-        self.bright = [0] * (n + 1)
-        self.bparent = [0] * (n + 1)
-        if vt.finger != vt.root:
-            raise ValueError("wrap the algorithm before its first access: the "
-                             "initial layout needs the virtual finger on the root")
         f = vt.finger
-        if lazy:
-            self.bleft = vt.left[:]
-            self.bright = vt.right[:]
-            self.bparent = vt.parent[:]
-            for v in range(1, n + 1):
-                self.wsub[v] = vt.wsub[v]
-            for c in (vt.left[f], vt.right[f]):
-                if c:
-                    self._mark_raw(c)
-        else:
-            for side in (False, True):
-                c = vt.right[f] if side else vt.left[f]
-                if c:
-                    x = self._build_block(c)
-                    if side:
-                        self.bright[f] = x
-                    else:
-                        self.bleft[f] = x
-                    self.bparent[x] = f
-            self.wsub[f] = self.w[f] + self.wsub[self.bleft[f]] + self.wsub[self.bright[f]]
+        for c in (vt.left[f], vt.right[f]):
+            if c:
+                x = self._hang(c, lazy)
+                if c < f:
+                    self.bleft[f] = x
+                else:
+                    self.bright[f] = x
+                self.bparent[x] = f
+        self.wsub[f] = self.w[f] + self.wsub[self.bleft[f]] + self.wsub[self.bright[f]]
         self.pt = self._finalize_tree(f)
         self._building = False
 
     # -- construction ---------------------------------------------------------
 
-    def _mark_raw(self, c: int) -> None:
-        """Leave subtree c in its original shape until the finger enters it."""
-        self.raw.add(c)
-        self.blocks[c] = _BlockCtl(
+    def _new_block(self, x: int, entry: int) -> _BlockCtl:
+        ctl = self.blocks[x] = _BlockCtl(
             ChocolatePopTart(engine=self.engN, allow_empty_slots=True),
             ChocolatePopTart(mirror=True, engine=self.engF, allow_empty_slots=True),
         )
-        self.entry[c] = c
+        self.entry[x] = entry
+        return ctl
 
-    def _build_block(self, v: int) -> int:
-        """Assemble the block for virtual subtree v; returns its physical root."""
+    def _hang(self, c: int, lazy: bool) -> int:
+        """Lay out virtual subtree c below its holder; returns its physical
+        root. Eager layout builds its block form now; lazy layout leaves it
+        in its original shape until the finger enters it."""
+        if not lazy:
+            return self._build_block(c)
+        self.raw.add(c)
+        self._new_block(c, c)
+        self.wsub[c] = self.vt.wsub[c]
+        return c
+
+    def _build_block(self, v: int, lazy: bool = False) -> int:
+        """Assemble the block for virtual subtree v; returns its physical root.
+
+        The links written are exact when v's nodes start unlinked (eager
+        layout) or in v's original shape, where the heavy path ends at a
+        leaf (lazy restructuring)."""
         vt = self.vt
         path = [v]
         while vt.solid[path[-1]]:
             path.append(vt.solid[path[-1]])
         x = path[-1]
-        ctl = _BlockCtl(
-            ChocolatePopTart(engine=self.engN, allow_empty_slots=True),
-            ChocolatePopTart(mirror=True, engine=self.engF, allow_empty_slots=True),
-        )
-        self.blocks[x] = ctl
-        self.entry[x] = v
+        ctl = self._new_block(x, v)
         self.wsub[x] = self.w[x]
         for i in range(len(path) - 2, -1, -1):
             u = path[i]
             succ = path[i + 1]
             self.next_bit[u] = succ < x
             hang = vt.left[u] if vt.right[u] == succ else vt.right[u]
-            hx = self._build_block(hang) if hang else 0
+            hx = self._hang(hang, lazy) if hang else 0
             if u < x:
                 old = self.bleft[x]
                 self.bleft[u] = hx
@@ -351,25 +347,8 @@ class Simulator:
         if pt.right[f] == v:
             self._emit_move(_R)
             return
-        up = [v]
-        u = v
-        while pt.parent[u]:
-            u = pt.parent[u]
-            up.append(u)
-        vpath = up[::-1]
-        f = pt.finger
-        fup = [f]
-        while pt.parent[f]:
-            f = pt.parent[f]
-            fup.append(f)
-        fpath = fup[::-1]
-        c = 0
-        while c < len(fpath) and c < len(vpath) and fpath[c] == vpath[c]:
-            c += 1
-        for _ in range(len(fpath) - c):
-            self._emit_move(_P)
-        for i in range(c - 1, len(vpath) - 1):
-            self._emit_move(_L if pt.left[vpath[i]] == vpath[i + 1] else _R)
+        self._ops.extend(walk_ops(pt.left, pt.parent, f, v))
+        pt.finger = v
 
     def _rot_at(self, v: int) -> None:
         """Rotate node v over its parent, maintaining subtree weights."""
@@ -478,7 +457,8 @@ class Simulator:
         p_on_left = p < f
         zone_p = self.zL if p_on_left else self.zR
         zone_o = self.zR if p_on_left else self.zL
-        assert zone_p.top_element() == p, "path parent must top its stack"
+        if zone_p.top_element() != p:
+            raise PathStackError(f"path parent {p} does not top its stack")
         self._rot_at(p)
         wstar_o = zone_o.top_element()
         if wstar_o:
@@ -495,11 +475,7 @@ class Simulator:
         vt, pt = self.vt, self.pt
         s = vt.solid[f]
         if not s:
-            self.blocks[f] = _BlockCtl(
-                ChocolatePopTart(engine=self.engN, allow_empty_slots=True),
-                ChocolatePopTart(mirror=True, engine=self.engF, allow_empty_slots=True),
-            )
-            self.entry[f] = f
+            self._new_block(f, f)
             return
         if s == vt.right[f]:
             xT = pt.right[f]
@@ -526,7 +502,8 @@ class Simulator:
             raise IllegalOpError(_U, f, "virtual finger at root")
         p_on_left = p < f
         zone_p = self.zL if p_on_left else self.zR
-        assert zone_p.top_element() == p, "path parent must top its stack"
+        if zone_p.top_element() != p:
+            raise PathStackError(f"path parent {p} does not top its stack")
         vt.apply_rotation()
         # lift p over f, settle the stack, then sink p into the slot that
         # already holds its own hanging subtree
@@ -543,39 +520,39 @@ class Simulator:
     # -- lazy restructuring -------------------------------------------------------
 
     def _restructure(self, c: int) -> None:
-        """Convert a still-original subtree into block form with counted ops."""
+        """Convert a still-original subtree into block form with counted ops.
+
+        The block builder runs silently on the live arrays to find the target
+        shape; the entries it wrote are then put back and the region is
+        rotated into that shape top-down, stopping at the subtrees it leaves
+        raw."""
         self.raw.discard(c)
         del self.blocks[c]
         self.entry.pop(c, None)
-        scratch = _ScratchBuild(self)
-        x = scratch.build(c)
+        vt = self.vt
+        left, right, parent, wsub = self.bleft, self.bright, self.bparent, self.wsub
+        # the builder writes only to c's heavy path and the roots hanging off it
+        path = [c]
+        while vt.solid[path[-1]]:
+            path.append(vt.solid[path[-1]])
+        hangs = [h for u in path for h in (vt.left[u], vt.right[u]) if h and h != vt.solid[u]]
+        saved = [(v, left[v], right[v], parent[v], wsub[v]) for v in path + hangs]
+        self._building = True
+        x = self._build_block(c, lazy=True)
+        self._building = False
+        target = {u: (right[u], left[u]) for u in path}  # stacked so left is shaped first
+        for v, l, r, p, w in saved:
+            left[v], right[v], parent[v], wsub[v] = l, r, p, w
         before = len(self._ops)
-        self._retarget(c, scratch)
+        todo = [(x, parent[c])]  # the target root takes c's place
+        while todo:
+            v, anchor = todo.pop()
+            while parent[v] != anchor:
+                self._rot_at(v)
+            for ch in target[v]:
+                if ch and ch not in self.raw:
+                    todo.append((ch, v))
         self.counters.restructure_ops += len(self._ops) - before
-        # adopt the scratch bookkeeping
-        for key, ctl in scratch.blocks.items():
-            ctl.L.engine = self.engN
-            ctl.R.engine = self.engF
-            self.blocks[key] = ctl
-        self.entry.update(scratch.entry)
-        self.next_bit.update(scratch.next_bit)
-
-    def _retarget(self, region_root: int, scratch: "_ScratchBuild") -> None:
-        """Rotate the physical region into the scratch target shape."""
-        pt = self.pt
-
-        def shape(target_root: int) -> None:
-            if not target_root or target_root in scratch.opaque:
-                return
-            want = target_root
-            anchor = scratch.tparent[want]
-            while pt.parent[want] != anchor:
-                self._rot_at(want)
-            shape(scratch.tleft[want])
-            shape(scratch.tright[want])
-
-        # region hangs from its current parent; scratch parents mirror that
-        shape(scratch.troot)
 
     # -- verification helpers ---------------------------------------------------
 
@@ -618,149 +595,6 @@ class Simulator:
         return bad
 
 
-class _ScratchBuild:
-    """Free-of-charge target computation for lazy restructuring."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.tleft: dict[int, int] = {}
-        self.tright: dict[int, int] = {}
-        self.tparent: dict[int, int] = {}
-        self.blocks: dict[int, _BlockCtl] = {}
-        self.entry: dict[int, int] = {}
-        self.next_bit: dict[int, bool] = {}
-        self.opaque: set[int] = set()
-        self.troot = 0
-
-    def build(self, c: int) -> int:
-        vt = self.sim.vt
-        self.troot = self._block(c)
-        self.tparent[self.troot] = self.sim.pt.parent[c]
-        return self.troot
-
-    def _block(self, v: int) -> int:
-        vt = self.sim.vt
-        sim = self.sim
-        path = [v]
-        while vt.solid[path[-1]]:
-            path.append(vt.solid[path[-1]])
-        x = path[-1]
-        eng = _ScratchEngine(self)
-        ctl = _BlockCtl(
-            ChocolatePopTart(engine=eng, allow_empty_slots=True),
-            ChocolatePopTart(mirror=True, engine=_ScratchEngine(self, mirror=True),
-                             allow_empty_slots=True),
-        )
-        self.blocks[x] = ctl
-        self.entry[x] = v
-        self.tleft[x] = self.tright[x] = 0
-        for i in range(len(path) - 2, -1, -1):
-            u = path[i]
-            succ = path[i + 1]
-            self.next_bit[u] = succ < x
-            hang = vt.left[u] if vt.right[u] == succ else vt.right[u]
-            if hang:
-                # leave the hanging subtree in its current physical shape
-                self.opaque.add(hang)
-                sim._mark_raw(hang)
-            if u < x:
-                old = self.tleft[x]
-                self.tleft[u], self.tright[u] = hang, old
-                self.tleft[x] = u
-            else:
-                old = self.tright[x]
-                self.tright[u], self.tleft[u] = hang, old
-                self.tright[x] = u
-            for ch in (hang, old):
-                if ch:
-                    self.tparent[ch] = u
-            self.tparent[u] = x
-            (ctl.L if u < x else ctl.R).push_arrived(u)
-        return x
-
-
-class _ScratchEngine:
-    """Engine over the scratch link dicts; rotations are free bookkeeping."""
-
-    def __init__(self, sb: _ScratchBuild, mirror: bool = False):
-        self.sb = sb
-        self.mirror = mirror
-        self.key = _IdentityKeys()
-
-    class _View:
-        def __init__(self, d):
-            self.d = d
-
-        def __getitem__(self, v):
-            return self.d.get(v, 0)
-
-    @property
-    def left(self):
-        return self._View(self.sb.tleft)
-
-    @property
-    def right(self):
-        return self._View(self.sb.tright)
-
-    @property
-    def parent(self):
-        return self._View(self.sb.tparent)
-
-    @property
-    def weight(self):
-        return self.sb.sim.w
-
-    @property
-    def is_leaf(self):
-        sb = self.sb
-
-        class _V:
-            def __getitem__(self, v):
-                return v in sb.opaque
-
-        return _V()
-
-    def pchild(self, v):
-        return self.sb.tright.get(v, 0) if self.mirror else self.sb.tleft.get(v, 0)
-
-    def schild(self, v):
-        return self.sb.tleft.get(v, 0) if self.mirror else self.sb.tright.get(v, 0)
-
-    def subtree_weight(self, v):
-        if not v:
-            return 0.0
-        if v in self.sb.opaque:
-            return self.sb.sim.vt.wsub[v]
-        w = self.sb.sim.w[v]
-        w += self.subtree_weight(self.pchild(v))
-        w += self.subtree_weight(self.schild(v))
-        return w
-
-    def rotate_up(self, v):
-        tl, tr, tp = self.sb.tleft, self.sb.tright, self.sb.tparent
-        p = tp[v]
-        g = tp.get(p, 0)
-        if tl.get(p, 0) == v:
-            b = tr.get(v, 0)
-            tr[v] = p
-            tl[p] = b
-        else:
-            b = tl.get(v, 0)
-            tl[v] = p
-            tr[p] = b
-        if b:
-            tp[b] = p
-        tp[p] = v
-        tp[v] = g
-        if g:
-            if tl.get(g, 0) == p:
-                tl[g] = v
-            else:
-                tr[g] = v
-        else:
-            self.sb.troot = v
-
-
 # -- public surface --------------------------------------------------------------
 
 
@@ -792,12 +626,6 @@ class WrappedAlgorithm(OnlineBstAlgorithm):
         inner_trace = self.inner.access(key)
         for op in inner_trace.ops:
             yield self.sim.apply_virtual(op)
-
-    def access(self, key: int) -> Trace:
-        ops: list[BstOp] = []
-        for burst in self.access_stream(key):
-            ops.extend(burst)
-        return Trace(ops, [len(ops)])
 
 
 def wrap(inner: OnlineBstAlgorithm, weights: Optional[Sequence[float]] = None,

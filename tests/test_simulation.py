@@ -225,12 +225,15 @@ def test_cumulative_cost_invariant():
         assert phys <= FROZEN["C_SIM"] * c.virtual_ops + FROZEN["C_SIM"] * n
 
 
-def test_lazy_mode_equivalence_and_depth():
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "int-ties"])
+@pytest.mark.parametrize("shape", ["balanced", "linear-right", "linear-left"])
+def test_lazy_mode_equivalence_and_depth(shape, weighted):
     rng = random.Random(13)
     n = 24
+    weights = [rng.randint(1, 3) for _ in range(n)] if weighted else None
     seq = [rng.randint(1, n) for _ in range(150)]
-    eager = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")))
-    lazy = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")), lazy=True)
+    eager = wrap(SplayAlgorithm(ModelTree.new_tree(n, shape)), weights)
+    lazy = wrap(SplayAlgorithm(ModelTree.new_tree(n, shape)), weights, lazy=True)
     t0 = lazy.tree.copy()
     full = Trace()
     for k in seq:
@@ -239,6 +242,8 @@ def test_lazy_mode_equivalence_and_depth():
         assert lazy.sim.vt.left == eager.sim.vt.left
         errs = lazy.sim.check_state()
         assert not errs, errs
+        vl, vr, vroot = decode_virtual(lazy.sim)
+        assert (vl, vr, vroot) == (lazy.sim.vt.left, lazy.sim.vt.right, lazy.sim.vt.root)
     assert verify_trace(t0, full, seq, boundaries=full.boundaries).valid
     # once every region is explored the depth bound applies throughout
     assert not lazy.sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
@@ -266,3 +271,20 @@ def test_illegal_virtual_op_raises():
     sim = build_initial(_vt(3))
     with pytest.raises(IllegalOpError):
         sim.apply_virtual(BstOp.PARENT)  # virtual finger at root
+
+
+def test_corrupt_path_stack_raises_named_error():
+    from deamort.model import BstOp
+    from deamort.simulation import PathStackError
+
+    sim = build_initial(_vt(15))
+    sim.apply_virtual(BstOp.LEFT)
+    sim.apply_virtual(BstOp.LEFT)
+    # the path parent of the virtual finger tops the right-side stack
+    zone = sim.zR
+    assert zone.top_element() == sim.vt.parent[sim.vt.finger]
+    zone.layers[0].regs[0] = 0
+    with pytest.raises(PathStackError):
+        sim.apply_virtual(BstOp.PARENT)
+    with pytest.raises(PathStackError):
+        sim.apply_virtual(BstOp.ROTATE)
