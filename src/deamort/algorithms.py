@@ -16,6 +16,10 @@ from .model import BstOp, ModelTree, Trace, walk_ops
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 
+class AlgorithmInvariantError(RuntimeError):
+    """An algorithm's emitted ops did not leave the tree as it promised."""
+
+
 class OnlineBstAlgorithm:
     """Behavioral contract: serve keys one by one, emitting legal ops."""
 
@@ -116,7 +120,9 @@ class SplayAlgorithm(OnlineBstAlgorithm):
         if lone_zig and d >= 1:
             do(_U)
 
-        assert t.root == key and t.finger == key
+        if t.root != key or t.finger != key:
+            raise AlgorithmInvariantError(
+                f"splay of {key} left root {t.root} and finger {t.finger}")
         yield ops
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 class BstOp(IntEnum):
@@ -40,7 +40,8 @@ class BstOp(IntEnum):
             raise ValueError(f"unknown op token {tok!r}") from None
 
 
-_TOKEN_OPS = {"P": BstOp.PARENT, "L": BstOp.LEFT, "R": BstOp.RIGHT, "U": BstOp.ROTATE}
+_P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
+_TOKEN_OPS = {"P": _P, "L": _L, "R": _R, "U": _U}
 
 # The boundary marker used in the trace text format.
 BOUNDARY_TOKEN = "#"
@@ -118,7 +119,8 @@ class ModelTree:
     """Arena of keyed nodes with parent/left/right links and a finger.
 
     Link arrays are 1-indexed by key; slot 0 is unused and 0 encodes an
-    absent link. Mutation happens only through :meth:`apply_op`, so recorded
+    absent link. Mutation happens through :meth:`apply_op`, or through
+    :func:`rotate_edge` by a caller that emits the same op, so recorded
     traces replay exactly.
     """
 
@@ -229,53 +231,28 @@ class ModelTree:
 
     def apply_op(self, op: BstOp) -> None:
         f = self.finger
-        if op == BstOp.LEFT:
+        if op == _L:
             c = self.left[f]
             if not c:
                 raise IllegalOpError(op, f, "no left child")
             self.finger = c
-        elif op == BstOp.RIGHT:
+        elif op == _R:
             c = self.right[f]
             if not c:
                 raise IllegalOpError(op, f, "no right child")
             self.finger = c
-        elif op == BstOp.PARENT:
-            p = self.parent[f]
-            if not p:
-                raise IllegalOpError(op, f, "finger at root")
-            self.finger = p
         else:
             p = self.parent[f]
             if not p:
                 raise IllegalOpError(op, f, "finger at root")
-            self._rotate_up(f, p)
-
-    def _rotate_up(self, x: int, p: int) -> None:
-        """Rotate the edge (x, p); x takes p's place, order preserved."""
-        g = self.parent[p]
-        if self.left[p] == x:
-            b = self.right[x]
-            self.right[x] = p
-            self.left[p] = b
-            if b:
-                self.parent[b] = p
-        else:
-            b = self.left[x]
-            self.left[x] = p
-            self.right[p] = b
-            if b:
-                self.parent[b] = p
-        self.parent[p] = x
-        self.parent[x] = g
-        if g:
-            if self.left[g] == p:
-                self.left[g] = x
-            else:
-                self.right[g] = x
-        else:
-            self.root = x
-        if self._track_height:
-            self._update_heights_from(p)
+            if op == _P:
+                self.finger = p
+                return
+            rotate_edge(self.left, self.right, self.parent, f)
+            if not self.parent[f]:
+                self.root = f
+            if self._track_height:
+                self._refresh_heights((p, f))
 
     def apply(self, trace: Trace) -> None:
         for op in trace.ops:
@@ -299,9 +276,17 @@ class ModelTree:
             hr = hgt[self.right[v]] + 1 if self.right[v] else 0
             hgt[v] = hl if hl > hr else hr
 
-    def _update_heights_from(self, v: int) -> None:
-        # climb while subtree heights keep changing
+    def _refresh_heights(self, nodes: Iterable[int]) -> None:
+        """Recompute the heights of ``nodes``, listed children before
+        parents, then climb from the last one's parent until a height comes
+        out unchanged. Every node whose subtree changed shape must be listed
+        or lie on that climb, as both ends of a rotated edge do."""
         hgt, left, right, parent = self.hgt, self.left, self.right, self.parent
+        for v in nodes:
+            hl = hgt[left[v]] + 1 if left[v] else 0
+            hr = hgt[right[v]] + 1 if right[v] else 0
+            hgt[v] = hl if hl > hr else hr
+        v = parent[v]
         while v:
             hl = hgt[left[v]] + 1 if left[v] else 0
             hr = hgt[right[v]] + 1 if right[v] else 0
@@ -387,6 +372,32 @@ class ModelTree:
         return cls(parents)
 
 
+def rotate_edge(left: list[int], right: list[int], parent: list[int], x: int) -> int:
+    """Rotate x over its parent p in the link arrays and return p; x takes
+    p's place and symmetric order is kept. Callers check that x is not a
+    root and update roots and per-node aggregates themselves."""
+    p = parent[x]
+    g = parent[p]
+    if left[p] == x:
+        b = right[x]
+        right[x] = p
+        left[p] = b
+    else:
+        b = left[x]
+        left[x] = p
+        right[p] = b
+    if b:
+        parent[b] = p
+    parent[p] = x
+    parent[x] = g
+    if g:
+        if left[g] == p:
+            left[g] = x
+        else:
+            right[g] = x
+    return p
+
+
 def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> list[BstOp]:
     """Finger moves from ``src`` to ``dst`` along tree edges, through their
     nearest common ancestor."""
@@ -403,9 +414,9 @@ def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> 
     c = 0
     while c < len(spath) and c < len(dpath) and spath[c] == dpath[c]:
         c += 1
-    ops = [BstOp.PARENT] * (len(spath) - c)
+    ops = [_P] * (len(spath) - c)
     for i in range(c - 1, len(dpath) - 1):
-        ops.append(BstOp.LEFT if left[dpath[i]] == dpath[i + 1] else BstOp.RIGHT)
+        ops.append(_L if left[dpath[i]] == dpath[i + 1] else _R)
     return ops
 
 
@@ -456,14 +467,30 @@ def verify_trace(
     trace length. ``visited_boundaries`` records where each key was first
     seen inside its window.
     """
-    t = t0.copy()
-    visits = [t.finger]
-    for i, op in enumerate(trace.ops):
-        try:
-            t.apply_op(op)
-        except IllegalOpError as e:
-            return VerifyReport(False, i, [], [], reason=str(e))
-        visits.append(t.finger)
+    left, right, parent = t0.left[:], t0.right[:], t0.parent[:]
+    f = t0.finger
+    visits = [f]
+    visit = visits.append
+    for op in trace.ops:
+        if op == _L:
+            c = left[f]
+            if not c:
+                return _illegal(op, f, "no left child", len(visits) - 1)
+            f = c
+        elif op == _R:
+            c = right[f]
+            if not c:
+                return _illegal(op, f, "no right child", len(visits) - 1)
+            f = c
+        else:
+            p = parent[f]
+            if not p:
+                return _illegal(op, f, "finger at root", len(visits) - 1)
+            if op == _P:
+                f = p
+            else:
+                rotate_edge(left, right, parent, f)
+        visit(f)
 
     m = len(s)
     if boundaries is None and trace.boundaries and len(trace.boundaries) == m:
@@ -502,6 +529,10 @@ def verify_trace(
         first_seen.append(pos)
     costs = _segment_costs(first_seen, len(trace.ops))
     return VerifyReport(True, None, costs, first_seen)
+
+
+def _illegal(op: BstOp, finger: int, why: str, index: int) -> VerifyReport:
+    return VerifyReport(False, index, [], [], reason=str(IllegalOpError(op, finger, why)))
 
 
 def _segment_costs(bounds: list[int], total: int) -> list[int]:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .model import BstOp, Trace, walk_ops
+from .model import BstOp, IllegalOpError, Trace, rotate_edge, walk_ops
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
@@ -48,6 +48,10 @@ class PopTartEmptyError(PopTartError):
 
 class KeyOrderError(PopTartError):
     pass
+
+
+class PopTartStructureError(PopTartError):
+    """The layer bookkeeping disagrees with the tree it describes."""
 
 
 @dataclass
@@ -141,9 +145,6 @@ class StandaloneEngine:
 
     # -- op emission ---------------------------------------------------------
 
-    def _emit(self, op: BstOp) -> None:
-        self.ops.append(op)
-
     def _depth(self, v: int) -> int:
         d = 0
         while self.parent[v]:
@@ -158,29 +159,13 @@ class StandaloneEngine:
     def rotate_up(self, v: int) -> None:
         """Walk the finger to v and rotate it over its parent."""
         self.walk_to(v)
-        p = self.parent[v]
-        assert p, "rotate at root"
-        g = self.parent[p]
-        if self.left[p] == v:
-            b = self.right[v]
-            self.right[v] = p
-            self.left[p] = b
-        else:
-            b = self.left[v]
-            self.left[v] = p
-            self.right[p] = b
-        if b:
-            self.parent[b] = p
-        self.parent[p] = v
-        self.parent[v] = g
-        if g:
-            if self.left[g] == p:
-                self.left[g] = v
-            else:
-                self.right[g] = v
-        else:
+        if not self.parent[v]:
+            raise IllegalOpError(_U, v, "rotate at root")
+        p = rotate_edge(self.left, self.right, self.parent, v)
+        g = self.parent[v]
+        if not g:
             self.root = v
-        self._emit(_U)
+        self.ops.append(_U)
         # local weight and slack maintenance; the region root changed identity,
         # so both rotated nodes are refreshed before the early-exit climb
         self.wsub[v] = self.wsub[p]
@@ -217,7 +202,7 @@ class StandaloneEngine:
 
     def return_to_root(self) -> None:
         while self.parent[self.finger]:
-            self._emit(_P)
+            self.ops.append(_P)
             self.finger = self.parent[self.finger]
 
     # -- push/pop surgery ----------------------------------------------------
@@ -245,7 +230,7 @@ class StandaloneEngine:
         self.n_leaves += 1
         if old:
             # the finger climbs onto the newly arrived parent
-            self._emit(_P)
+            self.ops.append(_P)
         self.finger = e
         return e, lf
 
@@ -254,11 +239,12 @@ class StandaloneEngine:
         new stack root (one move) when one remains."""
         top = self.root
         lf = self.pchild(top)
-        assert lf and self.is_leaf[lf], "pop-tart root payload is not a leaf"
+        if not (lf and self.is_leaf[lf]):
+            raise PopTartStructureError(f"stack root {top} has no payload leaf")
         rec = self.leaf_rec.pop(lf)
         nxt = self.schild(top)
         if nxt:
-            self._emit(_L if self.left[top] == nxt else _R)
+            self.ops.append(_L if self.left[top] == nxt else _R)
             self.parent[nxt] = 0
         self.root = nxt
         self.finger = nxt
@@ -591,7 +577,9 @@ class ChocolatePopTart(_PopTartBase):
                     i += 1
                 else:
                     # successor is a lone frozen crumb: defrost it in place
-                    assert not nxt.next_node and not nxt.icing and nxt.icing_base
+                    if nxt.next_node or nxt.icing or not nxt.icing_base:
+                        raise PopTartStructureError(
+                            f"layer {i + 1} has no regular nodes but is not a lone frozen crumb")
                     nx = lay.next_node
                     c = nxt.icing_base
                     eng.rotate_up(c)
@@ -605,7 +593,9 @@ class ChocolatePopTart(_PopTartBase):
             elif lay.icing_base:
                 break  # legal degenerate last layer: a single bare crumb
             else:
-                assert i == len(self.layers) - 1
+                if i != len(self.layers) - 1:
+                    raise PopTartStructureError(
+                        f"empty layer {i} above {len(self.layers) - 1 - i} more")
                 self.layers.pop()
                 break
 
@@ -629,7 +619,9 @@ class ChocolatePopTart(_PopTartBase):
                 self._pop_restore(i + 1)
         else:
             # frozen at creation: e guards a single bare crumb
-            assert len(suffix) == 1 and first.icing_base and not first.next_node
+            if len(suffix) != 1 or not first.icing_base or first.next_node:
+                raise PopTartStructureError(
+                    f"frosted element {e} guards no regular nodes but is not a lone crumb")
             c = first.icing_base
             eng.rotate_up(c)
             lay.regs = [c, e]

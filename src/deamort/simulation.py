@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
-from .model import BstOp, IllegalOpError, ModelTree, Trace, walk_ops
+from .model import BstOp, IllegalOpError, ModelTree, Trace, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
@@ -100,28 +100,11 @@ class VirtualTree:
     def apply_rotation(self) -> int:
         """Rotate the virtual finger over its parent; returns the old parent."""
         x = self.finger
-        p = self.parent[x]
-        if not p:
+        if not self.parent[x]:
             raise IllegalOpError(_U, x, "virtual finger at root")
-        g = self.parent[p]
-        if self.left[p] == x:
-            b = self.right[x]
-            self.right[x] = p
-            self.left[p] = b
-        else:
-            b = self.left[x]
-            self.left[x] = p
-            self.right[p] = b
-        if b:
-            self.parent[b] = p
-        self.parent[p] = x
-        self.parent[x] = g
-        if g:
-            if self.left[g] == p:
-                self.left[g] = x
-            else:
-                self.right[g] = x
-        else:
+        p = rotate_edge(self.left, self.right, self.parent, x)
+        g = self.parent[x]
+        if not g:
             self.root = x
         self.wsub[x] = self.wsub[p]
         self.wsub[p] = self.w[p] + self.wsub[self.left[p]] + self.wsub[self.right[p]]
@@ -326,66 +309,43 @@ class Simulator:
 
     # -- physical op plumbing ---------------------------------------------------
 
-    def _emit_move(self, op: BstOp) -> None:
-        self.pt.apply_op(op)
-        self._ops.append(op)
-
     def walk_to(self, v: int) -> None:
-        if self._building:
-            return
         pt = self.pt
         f = pt.finger
         if f == v:
             return
         # adjacent hops dominate; avoid building full root paths for them
-        if pt.parent[f] == v:
-            self._emit_move(_P)
-            return
-        if pt.left[f] == v:
-            self._emit_move(_L)
-            return
-        if pt.right[f] == v:
-            self._emit_move(_R)
-            return
-        self._ops.extend(walk_ops(pt.left, pt.parent, f, v))
+        if self.bparent[f] == v:
+            self._ops.append(_P)
+        elif self.bleft[f] == v:
+            self._ops.append(_L)
+        elif self.bright[f] == v:
+            self._ops.append(_R)
+        else:
+            self._ops.extend(walk_ops(self.bleft, self.bparent, f, v))
         pt.finger = v
 
     def _rot_at(self, v: int) -> None:
-        """Rotate node v over its parent, maintaining subtree weights."""
-        if self._building:
-            self._rot_silent(v)
-            return
-        self.walk_to(v)
-        pt = self.pt
-        p = pt.parent[v]
-        pt.apply_op(_U)
-        self._ops.append(_U)
-        self.wsub[v] = self.wsub[p]
-        self.wsub[p] = self.w[p] + self.wsub[pt.left[p]] + self.wsub[pt.right[p]]
-
-    def _rot_silent(self, v: int) -> None:
-        left, right, parent = self.bleft, self.bright, self.bparent
-        p = parent[v]
-        g = parent[p]
-        if left[p] == v:
-            b = right[v]
-            right[v] = p
-            left[p] = b
-        else:
-            b = left[v]
-            left[v] = p
-            right[p] = b
-        if b:
-            parent[b] = p
-        parent[p] = v
-        parent[v] = g
-        if g:
-            if left[g] == p:
-                left[g] = v
-            else:
-                right[g] = v
-        self.wsub[v] = self.wsub[p]
-        self.wsub[p] = self.w[p] + self.wsub[left[p]] + self.wsub[right[p]]
+        """Rotate node v over its parent, maintaining subtree weights; a
+        counted rotation first walks the finger to v and keeps the physical
+        root and heights current."""
+        parent = self.bparent
+        if not parent[v]:
+            raise IllegalOpError(_U, v, "rotate at the physical root")
+        counted = not self._building
+        if counted and self.pt.finger != v:
+            self.walk_to(v)
+        left, right, wsub = self.bleft, self.bright, self.wsub
+        p = rotate_edge(left, right, parent, v)
+        wsub[v] = wsub[p]
+        wsub[p] = self.w[p] + wsub[left[p]] + wsub[right[p]]
+        if counted:
+            self._ops.append(_U)
+            pt = self.pt
+            if not parent[v]:
+                pt.root = v
+            if pt._track_height:
+                pt._refresh_heights((p, v))
 
     # -- virtual op application --------------------------------------------------
 
@@ -544,14 +504,20 @@ class Simulator:
         for v, l, r, p, w in saved:
             left[v], right[v], parent[v], wsub[v] = l, r, p, w
         before = len(self._ops)
+        # one height pass over the region afterwards, not a climb per rotation
+        self.pt._track_height = False
+        order = []
         todo = [(x, parent[c])]  # the target root takes c's place
         while todo:
             v, anchor = todo.pop()
+            order.append(v)
             while parent[v] != anchor:
                 self._rot_at(v)
             for ch in target[v]:
                 if ch and ch not in self.raw:
                     todo.append((ch, v))
+        self.pt._track_height = True
+        self.pt._refresh_heights(reversed(order))
         self.counters.restructure_ops += len(self._ops) - before
 
     # -- verification helpers ---------------------------------------------------

@@ -179,7 +179,9 @@ class WorkQueue:
     def _walk(self, key: int) -> list[BstOp]:
         """Round trip root -> key -> root; pure finger moves."""
         t = self.tree
-        assert t.finger == t.root, "queue walks start at the root"
+        if t.finger != t.root:
+            raise GuaranteeViolation(
+                f"queue walk to {key} starts at finger {t.finger}, not at the root {t.root}")
         ops: list[BstOp] = []
         v = t.root
         while v != key:
@@ -304,7 +306,9 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         if not finished:
             ran += "C"
             chunk.extend(q.enqueue(key))
-            assert t.finger == t.root
+            if t.finger != t.root:
+                raise GuaranteeViolation(f"direct search for {key} starts at finger "
+                                         f"{t.finger}, not at the root {t.root}")
             v = t.root
             down = 0
             while v != key:

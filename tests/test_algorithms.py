@@ -14,6 +14,28 @@ from deamort.model import BstOp, ModelTree, Trace, verify_trace
 P, L, R, U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 
+def _textbook_rotate(t: ModelTree, x: int, p: int) -> None:
+    """Rotate the edge (x, p), x a child of p: x's inner subtree moves
+    across to p and x takes p's place. Written apart from the model's own
+    rotate so that the oracle stays independent of it."""
+    g = t.parent[p]
+    if t.left[p] == x:
+        inner = t.right[x]
+        t.left[p], t.right[x] = inner, p
+    else:
+        inner = t.left[x]
+        t.right[p], t.left[x] = inner, p
+    if inner:
+        t.parent[inner] = p
+    t.parent[p], t.parent[x] = x, g
+    if not g:
+        t.root = x
+    elif t.left[g] == p:
+        t.left[g] = x
+    else:
+        t.right[g] = x
+
+
 def _classical_splay(t: ModelTree, k: int) -> None:
     """Textbook bottom-up splay by direct link surgery; the oracle the
     op-scheduled implementation must reproduce."""
@@ -21,13 +43,13 @@ def _classical_splay(t: ModelTree, k: int) -> None:
         p = t.parent[k]
         g = t.parent[p]
         if not g:
-            t._rotate_up(k, p)
+            _textbook_rotate(t, k, p)
         elif (t.left[g] == p) == (t.left[p] == k):
-            t._rotate_up(p, g)
-            t._rotate_up(k, p)
+            _textbook_rotate(t, p, g)
+            _textbook_rotate(t, k, p)
         else:
-            t._rotate_up(k, p)
-            t._rotate_up(k, g)
+            _textbook_rotate(t, k, p)
+            _textbook_rotate(t, k, g)
 
 
 def _random_shape(n, rng):

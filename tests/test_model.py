@@ -151,10 +151,47 @@ def test_verify_missing_key_invalid():
     assert not rep.valid
 
 
-def test_verify_reports_illegal_op_index():
+@pytest.mark.parametrize("ops, index, reason", [
+    ([BstOp.PARENT], 0, "illegal P at finger 2: finger at root"),
+    ([BstOp.LEFT, BstOp.LEFT], 1, "illegal L at finger 1: no left child"),
+    ([BstOp.RIGHT, BstOp.RIGHT], 1, "illegal R at finger 3: no right child"),
+    ([BstOp.LEFT, BstOp.PARENT, BstOp.ROTATE], 2, "illegal U at finger 2: finger at root"),
+], ids=["P-at-root", "L-no-left-child", "R-no-right-child", "U-at-root"])
+def test_verify_reports_illegal_op_index(ops, index, reason):
     t = ModelTree.new_tree(3, "balanced")
-    rep = verify_trace(t, Trace([BstOp.LEFT, BstOp.LEFT]), [1])
-    assert not rep.valid and rep.failure_index == 1
+    rep = verify_trace(t, Trace(ops), [1])
+    assert not rep.valid
+    assert rep.failure_index == index
+    assert rep.reason == reason
+
+
+@given(n=st.integers(2, 10), seed=st.integers(0, 10_000), steps=st.integers(0, 60))
+@settings(max_examples=80, deadline=None)
+def test_verify_first_visit_matches_apply_op_replay(n, seed, steps):
+    rng = random.Random(seed)
+    t0 = ModelTree.new_tree(n, "balanced")
+    tr = _random_legal_walk(t0.copy(), rng, steps)
+    # reference: the finger after every op, replayed one op at a time
+    t = t0.copy()
+    visits = [t.finger]
+    for op in tr.ops:
+        t.apply_op(op)
+        visits.append(t.finger)
+    keys = [rng.randint(1, n) for _ in range(rng.randint(1, 6))]
+    want = []
+    pos = 0
+    for k in keys:
+        while pos < len(visits) and visits[pos] != k:
+            pos += 1
+        if pos == len(visits):
+            break
+        want.append(pos)
+    rep = verify_trace(t0, tr, keys)
+    assert rep.valid == (len(want) == len(keys))
+    if rep.valid:
+        assert rep.visited_boundaries == want
+        ends = want[:-1] + [tr.cost]
+        assert rep.per_access_cost == [b - a for a, b in zip([0] + ends, ends)]
 
 
 def test_verify_supplied_boundaries_cost_sums():
@@ -206,6 +243,9 @@ def test_height_tracking_matches_scan():
             legal.append(BstOp.PARENT)
             legal.append(BstOp.ROTATE)
         t.apply_op(rng.choice(legal))
+        fresh = t.copy()
+        fresh._recompute_heights()
+        assert t.hgt == fresh.hgt
     plain = t.copy()
     plain._track_height = False
     assert t.height() == plain.height()

@@ -131,6 +131,13 @@ def test_exhaustive_small_shapes_full_audit():
                 assert rep.valid, rep.reason
 
 
+def _assert_heights_exact(tree: ModelTree) -> None:
+    """The heights kept up rotation by rotation match a fresh recompute."""
+    fresh = tree.copy()
+    fresh._recompute_heights()
+    assert tree.hgt == fresh.hgt
+
+
 def test_wrapped_mtr_random_audit():
     rng = random.Random(9)
     w = wrap(MoveToRootAlgorithm(ModelTree.new_tree(40, "linear-left")))
@@ -139,6 +146,7 @@ def test_wrapped_mtr_random_audit():
     seq = [rng.randint(1, 40) for _ in range(300)]
     for k in seq:
         full.extend(w.access(k))
+        _assert_heights_exact(w.tree)
     assert not w.sim.check_state()
     assert not w.sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
     assert verify_trace(t0, full, seq, boundaries=full.boundaries).valid
@@ -244,6 +252,7 @@ def test_lazy_mode_equivalence_and_depth(shape, weighted):
         assert not errs, errs
         vl, vr, vroot = decode_virtual(lazy.sim)
         assert (vl, vr, vroot) == (lazy.sim.vt.left, lazy.sim.vt.right, lazy.sim.vt.root)
+        _assert_heights_exact(lazy.tree)
     assert verify_trace(t0, full, seq, boundaries=full.boundaries).valid
     # once every region is explored the depth bound applies throughout
     assert not lazy.sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)

@@ -114,6 +114,14 @@ def test_workqueue_overflow_guard():
         q.enqueue(1)
 
 
+def test_workqueue_walk_off_root_guard():
+    t = ModelTree.new_tree(7, "balanced")
+    q = WorkQueue(t)
+    t.apply_op(BstOp.LEFT)
+    with pytest.raises(GuaranteeViolation, match="starts at finger 2, not at the root 4"):
+        q.enqueue(5)
+
+
 def test_workqueue_duplicate_keys_get_distinct_hosts():
     t = ModelTree.new_tree(5, "balanced")
     q = WorkQueue(t)
