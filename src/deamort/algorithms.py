@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .model import BstOp, ModelTree, Trace, walk_ops
+from .model import BstOp, ModelTree, Trace, descend, rotate_edge, walk_ops
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
@@ -44,33 +44,53 @@ class OnlineBstAlgorithm:
             raise KeyError(f"key {key} outside 1..{self.n}")
 
 
-class StaticAlgorithm(OnlineBstAlgorithm):
+class _OneBurstAlgorithm(OnlineBstAlgorithm):
+    """A reference algorithm: each access is one burst, computed and applied
+    to the tree's link arrays by :meth:`serve`."""
+
+    def serve(self, key: int) -> list[BstOp]:
+        """Apply the access to ``key``; return its ops."""
+        raise NotImplementedError
+
+    def access(self, key: int) -> Trace:
+        ops = self.serve(key)
+        return Trace(ops, [len(ops)])
+
+    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+        yield self.serve(key)
+
+
+class StaticAlgorithm(_OneBurstAlgorithm):
     """Walks the finger to the key and leaves the tree untouched."""
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
-        self._require_key(key)
-        ops = walk_ops(self.tree.left, self.tree.parent, self.tree.finger, key)
-        for op in ops:
-            self.tree.apply_op(op)
-        yield ops
-
-
-class MoveToRootAlgorithm(OnlineBstAlgorithm):
-    """Walks to the key, then rotates it to the root with single rotations."""
-
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def serve(self, key: int) -> list[BstOp]:
         self._require_key(key)
         t = self.tree
         ops = walk_ops(t.left, t.parent, t.finger, key)
-        for op in ops:
-            t.apply_op(op)
-        while t.parent[key]:
-            t.apply_op(_U)
-            ops.append(_U)
-        yield ops
+        t.finger = key
+        return ops
 
 
-class SplayAlgorithm(OnlineBstAlgorithm):
+class MoveToRootAlgorithm(_OneBurstAlgorithm):
+    """Walks to the key, then rotates it to the root with single rotations."""
+
+    def serve(self, key: int) -> list[BstOp]:
+        self._require_key(key)
+        t = self.tree
+        left, right, parent = t.left, t.right, t.parent
+        ops = walk_ops(left, parent, t.finger, key)
+        t.finger = key
+        if parent[key]:
+            path = [key]  # the old root-to-key path, bottom-up
+            while parent[key]:
+                path.append(rotate_edge(left, right, parent, key))
+                ops.append(_U)
+            t.root = key
+            t.mark_stale(path)
+        return ops
+
+
+class SplayAlgorithm(_OneBurstAlgorithm):
     """Bottom-up splay, scheduled so the trace stays within 2*depth + 2 ops.
 
     The zig-zig grandparent rotations are emitted while the finger passes the
@@ -80,50 +100,40 @@ class SplayAlgorithm(OnlineBstAlgorithm):
     disjoint edges.
     """
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def serve(self, key: int) -> list[BstOp]:
         self._require_key(key)
         t = self.tree
-        ops: list[BstOp] = []
-
-        def do(op: BstOp) -> None:
-            t.apply_op(op)
-            ops.append(op)
-
+        left, right, parent = t.left, t.right, t.parent
         # splay leaves the finger at the root; walk up defensively otherwise
-        while t.parent[t.finger]:
-            do(_P)
+        ops: list[BstOp] = []
+        v = t.finger
+        while parent[v]:
+            ops.append(_P)
+            v = parent[v]
 
-        path = t.path_from_root(key)
-        d = len(path) - 1
-        dirs = [
-            _L if path[i + 1] == t.left[path[i]] else _R for i in range(d)
-        ]
+        path, dirs = descend(left, right, t.root, key)
+        d = len(dirs)
         # pair ancestor indices bottom-up: (d-1, d-2), (d-3, d-4), ...
-        zigzig_at = {}
-        j = d - 1
-        while j >= 1:
-            zigzig_at[j] = dirs[j] == dirs[j - 1]
-            j -= 2
-        lone_zig = (d % 2) == 1
+        zigzig = [False] * d
+        for j in range(d - 1, 0, -2):
+            zigzig[j] = dirs[j] == dirs[j - 1]
 
         for i in range(d):
-            if zigzig_at.get(i):
-                do(_U)  # parent-over-grandparent half of the zig-zig
-            do(dirs[i])
-
-        j = d - 1
-        while j >= 1:
-            do(_U)
-            if not zigzig_at[j]:
-                do(_U)
-            j -= 2
-        if lone_zig and d >= 1:
-            do(_U)
-
-        if t.root != key or t.finger != key:
-            raise AlgorithmInvariantError(
-                f"splay of {key} left root {t.root} and finger {t.finger}")
-        yield ops
+            if zigzig[i]:
+                ops.append(_U)  # parent-over-grandparent half of the zig-zig
+                rotate_edge(left, right, parent, path[i])
+            ops.append(dirs[i])
+        # the remaining rotations keep the finger on the key
+        ups = d - zigzig.count(True)
+        ops += [_U] * ups
+        for _ in range(ups):
+            rotate_edge(left, right, parent, key)
+        if parent[key]:
+            raise AlgorithmInvariantError(f"splay of {key} left it below {parent[key]}")
+        t.root = t.finger = key
+        if d:
+            t.mark_stale(path)
+        return ops
 
 
 ALGORITHMS: dict[str, Callable[[ModelTree], OnlineBstAlgorithm]] = {

@@ -120,11 +120,22 @@ class ModelTree:
 
     Link arrays are 1-indexed by key; slot 0 is unused and 0 encodes an
     absent link. Mutation happens through :meth:`apply_op`, or through
-    :func:`rotate_edge` by a caller that emits the same op, so recorded
-    traces replay exactly.
+    :func:`rotate_edge` by a caller that emits the same op and reports the
+    rotated nodes to :meth:`mark_stale`, so recorded traces replay exactly.
+
+    A tree built with ``track_height`` keeps per-node heights in ``hgt``
+    lazily. Rotations only note their endpoints as stale; :meth:`height`
+    settles the heights of the stale nodes and their ancestors, children
+    first. So ``hgt`` is exact at every node right after a :meth:`height`
+    call and until the next rotation. A fresh tracked tree, or one whose
+    stale list grew past n entries, has unknown heights, and its next
+    :meth:`height` recomputes them all. The simulator's physical tree is the
+    exception: it climbs the heights itself after every rotation, so there
+    ``hgt`` is exact after every op.
     """
 
-    __slots__ = ("n", "left", "right", "parent", "root", "finger", "_track_height", "hgt")
+    __slots__ = ("n", "left", "right", "parent", "root", "finger", "_track_height", "hgt",
+                 "_stale")
 
     def __init__(self, parents: Sequence[int], track_height: bool = False):
         """Build from a signed parent array.
@@ -169,9 +180,10 @@ class ModelTree:
         self.finger = root
         self._track_height = track_height
         self.hgt = [0] * (n + 1)
+        # stale nodes since the last height(); None while the heights are
+        # unknown, and always on an untracked tree
+        self._stale: Optional[list[int]] = None
         self._check_structure()
-        if track_height:
-            self._recompute_heights()
 
     @classmethod
     def new_tree(cls, n: int, shape: ShapeSpec = "balanced", track_height: bool = False) -> "ModelTree":
@@ -251,14 +263,55 @@ class ModelTree:
             rotate_edge(self.left, self.right, self.parent, f)
             if not self.parent[f]:
                 self.root = f
-            if self._track_height:
-                self._refresh_heights((p, f))
+            if self._stale is not None:
+                self.mark_stale((p, f))
 
     def apply(self, trace: Trace) -> None:
         for op in trace.ops:
             self.apply_op(op)
 
     # -- height bookkeeping (optional, used by instrumented runs) -----------
+
+    def mark_stale(self, nodes: Iterable[int]) -> None:
+        """Note that the subtrees of ``nodes`` changed shape, as both ends of
+        a rotated edge do. On a tracked tree :meth:`height` settles them and
+        their ancestors; past n noted entries the list is dropped and the
+        next :meth:`height` recomputes everything, so memory stays O(n)."""
+        stale = self._stale
+        if stale is not None:
+            stale.extend(nodes)
+            if len(stale) > self.n:
+                self._stale = None
+
+    def _settle_heights(self) -> None:
+        """Make ``hgt`` exact. A node's subtree changed only if the node, or
+        one of its descendants in the current tree, was noted stale; so the
+        stale nodes' ancestor closure is recomputed, children first. Each
+        stale node's climb stops below the first node an earlier climb
+        reached, so replaying the climbs last to first, each bottom-up,
+        visits every node after all of its recomputed descendants."""
+        stale = self._stale
+        if stale is None:
+            self._recompute_heights()
+            self._stale = []
+            return
+        parent = self.parent
+        seen: set[int] = set()
+        climbs = []
+        for v in stale:
+            climb = []
+            while v and v not in seen:
+                seen.add(v)
+                climb.append(v)
+                v = parent[v]
+            climbs.append(climb)
+        hgt, left, right = self.hgt, self.left, self.right
+        for climb in reversed(climbs):
+            for v in climb:
+                hl = hgt[left[v]] + 1 if left[v] else 0
+                hr = hgt[right[v]] + 1 if right[v] else 0
+                hgt[v] = hl if hl > hr else hr
+        stale.clear()
 
     def _recompute_heights(self) -> None:
         order: list[int] = []
@@ -280,7 +333,9 @@ class ModelTree:
         """Recompute the heights of ``nodes``, listed children before
         parents, then climb from the last one's parent until a height comes
         out unchanged. Every node whose subtree changed shape must be listed
-        or lie on that climb, as both ends of a rotated edge do."""
+        or lie on that climb, as both ends of a rotated edge do. This is the
+        simulator's eager upkeep; trees that only read their height now and
+        then use :meth:`mark_stale` instead."""
         hgt, left, right, parent = self.hgt, self.left, self.right, self.parent
         for v in nodes:
             hl = hgt[left[v]] + 1 if left[v] else 0
@@ -309,6 +364,7 @@ class ModelTree:
 
     def height(self) -> int:
         if self._track_height:
+            self._settle_heights()
             return self.hgt[self.root]
         best = 0
         stack = [(self.root, 0)]
@@ -322,17 +378,6 @@ class ModelTree:
                 stack.append((self.right[v], d + 1))
         return best
 
-    def path_from_root(self, k: int) -> list[int]:
-        """Root-to-k node list, derived by key comparisons."""
-        path = [self.root]
-        v = self.root
-        while v != k:
-            v = self.left[v] if k < v else self.right[v]
-            if not v:
-                raise KeyError(f"key {k} unreachable")
-            path.append(v)
-        return path
-
     def copy(self) -> "ModelTree":
         t = object.__new__(ModelTree)
         t.n = self.n
@@ -343,6 +388,7 @@ class ModelTree:
         t.finger = self.finger
         t._track_height = self._track_height
         t.hgt = self.hgt[:]
+        t._stale = None if self._stale is None else self._stale[:]
         return t
 
     # -- text format ---------------------------------------------------------
@@ -396,6 +442,26 @@ def rotate_edge(left: list[int], right: list[int], parent: list[int], x: int) ->
         else:
             right[g] = x
     return p
+
+
+def descend(left: Sequence[int], right: Sequence[int], root: int,
+            key: int) -> tuple[list[int], list[BstOp]]:
+    """The search from ``root`` down to ``key`` by key comparisons: the nodes
+    passed, ``root`` and ``key`` included, and the finger moves between them."""
+    path = [root]
+    moves: list[BstOp] = []
+    v = root
+    while v != key:
+        if key < v:
+            v = left[v]
+            moves.append(_L)
+        else:
+            v = right[v]
+            moves.append(_R)
+        if not v:
+            raise KeyError(f"key {key} unreachable")
+        path.append(v)
+    return path, moves
 
 
 def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> list[BstOp]:

@@ -303,6 +303,7 @@ class Simulator:
         pt.finger = root
         pt._track_height = True
         pt.hgt = [0] * (self.vt.n + 1)
+        pt._stale = []  # exact: _rot_at and _restructure refresh the heights
         pt._check_structure()
         pt._recompute_heights()
         return pt

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 
 from .algorithms import OnlineBstAlgorithm
 from .constants import FROZEN
-from .model import BstOp, ModelTree, Trace
+from .model import BstOp, ModelTree, Trace, descend
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
@@ -103,20 +103,14 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
                 return
             if (t.finger == t.root
                     and self._since_boundary >= self.cfg.budget(self.n)):
-                down: list[BstOp] = []
-                v = t.root
-                while v != key:
-                    op = _L if key < v else _R
-                    t.apply_op(op)
-                    down.append(op)
-                    v = t.finger
+                down = descend(t.left, t.right, t.root, key)[1]
+                t.finger = key
                 self._segment += len(down)
                 self.forced_accesses += 1
                 self._boundary_pos = yielded + len(down)
                 self._close_segment()
                 back = [_P] * len(down)
-                for op in back:
-                    t.apply_op(op)
+                t.finger = t.root
                 self.total_ops += 2 * len(down)
                 self._segment += len(back)
                 yield down + back
@@ -182,15 +176,7 @@ class WorkQueue:
         if t.finger != t.root:
             raise GuaranteeViolation(
                 f"queue walk to {key} starts at finger {t.finger}, not at the root {t.root}")
-        ops: list[BstOp] = []
-        v = t.root
-        while v != key:
-            op = _L if key < v else _R
-            t.apply_op(op)
-            ops.append(op)
-            v = t.finger
-        for _ in range(len(ops)):
-            t.apply_op(_P)
+        ops = descend(t.left, t.right, t.root, key)[1]
         return ops + [_P] * len(ops)
 
     def enqueue(self, key: int) -> list[BstOp]:
@@ -309,15 +295,10 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
             if t.finger != t.root:
                 raise GuaranteeViolation(f"direct search for {key} starts at finger "
                                          f"{t.finger}, not at the root {t.root}")
-            v = t.root
-            down = 0
-            while v != key:
-                op = _L if key < v else _R
-                t.apply_op(op)
-                chunk.append(op)
-                v = t.finger
-                down += 1
-            self._pending_up = down
+            down = descend(t.left, t.right, t.root, key)[1]
+            chunk.extend(down)
+            t.finger = key
+            self._pending_up = len(down)
             if gen is not None:
                 self._proc = gen  # the request just enqueued is the oldest
         self.counters.actions[ran] = self.counters.actions.get(ran, 0) + 1

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deamort.algorithms import MoveToRootAlgorithm, SplayAlgorithm
 from deamort.model import (
     BstOp,
     IllegalOpError,
@@ -243,12 +244,66 @@ def test_height_tracking_matches_scan():
             legal.append(BstOp.PARENT)
             legal.append(BstOp.ROTATE)
         t.apply_op(rng.choice(legal))
+        h = t.height()  # hgt is exact only after a height() read
         fresh = t.copy()
         fresh._recompute_heights()
         assert t.hgt == fresh.hgt
+        assert h == t.hgt[t.root]
     plain = t.copy()
     plain._track_height = False
     assert t.height() == plain.height()
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("ops"), st.integers(1, 30)),
+    st.tuples(st.sampled_from(["splay", "mtr"]), st.integers(1, 40)),
+    st.just(("read", 0)),
+)
+
+
+def _check_settled(t: ModelTree) -> None:
+    h = t.height()
+    fresh = t.copy()
+    fresh._recompute_heights()
+    assert t.hgt == fresh.hgt
+    plain = t.copy()
+    plain._track_height = False
+    assert h == plain.height()
+
+
+@given(n=st.integers(1, 24), shape=st.sampled_from(["balanced", "linear-right", "linear-left"]),
+       seed=st.integers(0, 10_000), steps=st.lists(_STEP, max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_deferred_heights_match_full_recompute(n, shape, seed, steps):
+    rng = random.Random(seed)
+    t = ModelTree.new_tree(n, shape, track_height=True)
+    for kind, arg in steps:
+        if kind == "ops":
+            if n > 1:
+                _random_legal_walk(t, rng, arg)
+        elif kind == "read":
+            _check_settled(t)
+        else:
+            alg = (SplayAlgorithm if kind == "splay" else MoveToRootAlgorithm)(t)
+            alg.access((arg - 1) % n + 1)
+    _check_settled(t)
+
+
+def test_deferred_heights_overflow_drops_the_stale_list():
+    n = 9
+    t = ModelTree.new_tree(n, "linear-right", track_height=True)
+    assert t.height() == n - 1
+    splay = SplayAlgorithm(t)
+    splay.access(n)  # the old path is all n nodes
+    assert t._stale is not None and len(t._stale) == n
+    splay.access(1)
+    assert t._stale is None  # past n entries: heights unknown
+    _check_settled(t)
+    assert t._stale == []
+    # an untracked tree notes nothing
+    u = ModelTree.new_tree(n, "linear-right")
+    SplayAlgorithm(u).access(n)
+    assert u._stale is None
 
 
 def test_depth_unknown_key_errors():
