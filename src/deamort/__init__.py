@@ -4,7 +4,7 @@ transforms for self-adjusting search trees."""
 from .algorithms import ALGORITHMS, OnlineBstAlgorithm, make_algorithm
 from .model import BstOp, IllegalOpError, ModelTree, Trace, VerifyReport, verify_trace
 from .poptart import PopTartLeaf, make_poptart
-from .simulation import VirtualTree, build_initial, heavy_path_decompose, simulate_access, wrap
+from .simulation import VirtualTree, heavy_path_decompose, simulate_access, wrap
 from .transforms import (
     GuaranteeViolation,
     InterleaveConfig,
@@ -26,7 +26,6 @@ __all__ = [
     "VerifyReport",
     "VirtualTree",
     "WorkQueue",
-    "build_initial",
     "heavy_path_decompose",
     "interleave_transform",
     "make_algorithm",

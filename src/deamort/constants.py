@@ -3,16 +3,14 @@
 Every empirical constant the package asserts against lives here, in one
 place. Each entry records where its value comes from: either a structural
 bound carried by the constructions themselves, or a measured value frozen
-after calibration with headroom. ``DEAMORT_CONSTANTS`` may point at a JSON
-file overriding any entry. ``python -m deamort.constants`` recomputes the
-measurable ones and prints a diff against the frozen values.
+after calibration with headroom. ``python -m deamort.constants`` recomputes
+the measurable ones and prints a diff against the frozen values.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
+
 FROZEN: dict[str, float] = {
     # Depth of every node in the restructured tree: mult*log2(W/w) + add.
     # Structural: one extra level per weight halving along dotted edges, each
@@ -59,21 +57,6 @@ FROZEN: dict[str, float] = {
     # triggers them).
     "INTERLEAVE_FACTOR": 3.0,
 }
-
-
-def _load_override() -> dict[str, float]:
-    path = os.environ.get("DEAMORT_CONSTANTS")
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    unknown = set(data) - set(FROZEN)
-    if unknown:
-        raise KeyError(f"unknown constants in {path}: {sorted(unknown)}")
-    return {k: float(v) for k, v in data.items()}
-
-
-FROZEN.update(_load_override())
 
 
 def calibrate(seed: int = 0) -> dict[str, float]:

@@ -20,11 +20,16 @@ Three variants are provided:
   each live successor layer weighs less than the icing beside it. Keeps every
   leaf of weight w at depth <= 6 + 7*log2(W/w) for arbitrary weights.
 
-The structure logic is independent of how the tree is stored: a standalone
-engine materializes its own nodes and accounts every finger move and
-rotation, while the simulation layer plugs in an engine backed by the shared
-model tree. Keys are supplied by the caller in embedded mode and synthesized
-(decreasing) in standalone mode.
+The structure logic reaches the tree through one small engine contract: the
+link and weight arrays ``left``, ``right``, ``parent``, ``weight``, ``wsub``
+and ``key`` (entry 0 is the absent node and weighs 0), ``is_leaf(v)`` for the
+payload slots, and ``rotate_up(v)``, which rotates v over its parent keeping
+``wsub`` current. A pop-tart built without an engine owns a
+``StandaloneEngine``, materializes its own nodes with synthesized keys
+(decreasing in the normal orientation) and accounts every finger move and
+rotation. A pop-tart given an engine is embedded: the simulator passes
+itself, the stack's elements are already linked into its tree, and only the
+rebalancing runs here.
 """
 
 from __future__ import annotations
@@ -80,77 +85,44 @@ class InvariantReport:
 class StandaloneEngine:
     """Self-contained node arena with finger tracking and op accounting.
 
-    Node ids are small ints; id 0 is the absent link. ``side`` selects the
-    payload side: 0 puts payloads on the left (normal orientation, pushes in
-    decreasing key order), 1 mirrors everything.
+    Node ids are small ints; id 0 is the absent link. The leaves are the
+    nodes in ``leaf_rec``, each mapped to its pushed record.
     """
 
-    def __init__(self, payload_side_right: bool = False, leaf_score_coef: float = 0.0):
+    def __init__(self, leaf_score_coef: float = 0.0):
         self.left = [0]
         self.right = [0]
         self.parent = [0]
         self.weight = [0.0]
         self.wsub = [0.0]
         self.key = [0]
-        self.is_leaf = [False]
         self.aug = [float("-inf")]  # max over subtree leaves of reldepth + coef*log2(w)
         self.leaf_rec: dict[int, PopTartLeaf] = {}
         self.root = 0
         self.finger = 0
         self.ops: list[BstOp] = []
-        self.mirror = payload_side_right
         self.coef = leaf_score_coef
-        self._next_key = 0
+        self.keys_used = 0
         self.total_leaf_weight = 0.0
-        self.n_leaves = 0
 
-    # payload/stack side accessors
-    def pchild(self, v: int) -> int:
-        return self.right[v] if self.mirror else self.left[v]
+    def is_leaf(self, v: int) -> bool:
+        return v in self.leaf_rec
 
-    def schild(self, v: int) -> int:
-        return self.left[v] if self.mirror else self.right[v]
-
-    def _set_pchild(self, v: int, c: int) -> None:
-        if self.mirror:
-            self.right[v] = c
-        else:
-            self.left[v] = c
-        if c:
-            self.parent[c] = v
-
-    def _set_schild(self, v: int, c: int) -> None:
-        if self.mirror:
-            self.left[v] = c
-        else:
-            self.right[v] = c
-        if c:
-            self.parent[c] = v
-
-    def _new_node(self, key: int, weight: float, leaf: bool) -> int:
+    def new_node(self, key: int, weight: float, rec: Optional[PopTartLeaf] = None) -> int:
+        """Append an unlinked node; a node given a record is a leaf."""
         self.left.append(0)
         self.right.append(0)
         self.parent.append(0)
         self.weight.append(weight)
         self.wsub.append(weight)
         self.key.append(key)
-        self.is_leaf.append(leaf)
-        self.aug.append(self.coef * math.log2(weight) if leaf else float("-inf"))
-        return len(self.left) - 1
-
-    def next_key(self) -> int:
-        self._next_key += 1
-        k = 2 * self._next_key  # even element keys; payload leaves take the odd neighbor
-        return k if self.mirror else -k
+        self.aug.append(self.coef * math.log2(weight) if rec is not None else float("-inf"))
+        v = len(self.left) - 1
+        if rec is not None:
+            self.leaf_rec[v] = rec
+        return v
 
     # -- op emission ---------------------------------------------------------
-
-    def _depth(self, v: int) -> int:
-        d = 0
-        while self.parent[v]:
-            v = self.parent[v]
-            d += 1
-        return d
 
     def walk_to(self, v: int) -> None:
         self.ops.extend(walk_ops(self.left, self.parent, self.finger, v))
@@ -174,7 +146,7 @@ class StandaloneEngine:
         self._refresh_aug_up(g)
 
     def _aug_of(self, v: int) -> float:
-        a = self.coef * math.log2(self.weight[v]) if self.is_leaf[v] else float("-inf")
+        a = self.coef * math.log2(self.weight[v]) if v in self.leaf_rec else float("-inf")
         l, r = self.left[v], self.right[v]
         if l and self.aug[l] + 1 > a:
             a = self.aug[l] + 1
@@ -205,62 +177,16 @@ class StandaloneEngine:
             self.ops.append(_P)
             self.finger = self.parent[self.finger]
 
-    # -- push/pop surgery ----------------------------------------------------
-
-    def arrive(self, rec: PopTartLeaf, key: Optional[int]) -> tuple[int, int]:
-        """Materialize a pushed element above the root; returns (elem, leaf)."""
-        if key is None:
-            key = self.next_key()
-        elif self.root:
-            ok = key > self.key[self.root] if self.mirror else key < self.key[self.root]
-            if not ok:
-                raise KeyOrderError(
-                    f"push key {key} breaks {'increasing' if self.mirror else 'decreasing'} order")
-        e = self._new_node(key, 1.0, leaf=False)
-        lf = self._new_node(key + (1 if self.mirror else -1), rec.weight, leaf=True)
-        self.leaf_rec[lf] = rec
-        old = self.root
-        self._set_pchild(e, lf)
-        if old:
-            self._set_schild(e, old)
-        self.root = e
-        self.parent[e] = 0
-        self._refresh(e)
-        self.total_leaf_weight += rec.weight
-        self.n_leaves += 1
-        if old:
-            # the finger climbs onto the newly arrived parent
-            self.ops.append(_P)
-        self.finger = e
-        return e, lf
-
-    def detach_top(self) -> PopTartLeaf:
-        """Remove the root element and its payload leaf; finger lands on the
-        new stack root (one move) when one remains."""
-        top = self.root
-        lf = self.pchild(top)
-        if not (lf and self.is_leaf[lf]):
-            raise PopTartStructureError(f"stack root {top} has no payload leaf")
-        rec = self.leaf_rec.pop(lf)
-        nxt = self.schild(top)
-        if nxt:
-            self.ops.append(_L if self.left[top] == nxt else _R)
-            self.parent[nxt] = 0
-        self.root = nxt
-        self.finger = nxt
-        self.total_leaf_weight -= rec.weight
-        self.n_leaves -= 1
-        return rec
-
     def take_ops(self) -> list[BstOp]:
         ops, self.ops = self.ops, []
         return ops
 
-    def subtree_weight(self, v: int) -> float:
-        return self.wsub[v] if v else 0.0
-
     def leaf_depth(self, lf: int) -> int:
-        return self._depth(lf)
+        d = 0
+        while self.parent[lf]:
+            lf = self.parent[lf]
+            d += 1
+        return d
 
     def max_leaf_slack(self) -> float:
         """max over leaves of depth + coef*log2(w); -inf when empty."""
@@ -290,31 +216,86 @@ class _Layer:
 
 
 class _PopTartBase:
+    """A stack's layer bookkeeping over an engine's tree.
+
+    The engine contract: ``left``, ``right``, ``parent``, ``weight``, ``wsub``
+    and ``key`` arrays indexed by node id, entry 0 being the absent node of
+    weight 0; ``is_leaf(v)``, true for the nodes that fill payload slots; and
+    ``rotate_up(v)``, which rotates v over its parent and keeps ``wsub``
+    current. The orientation lives here: ``mirror`` puts the payloads on the
+    right and the rest of the stack on the left, and ``pchild``/``schild``
+    read the side lists chosen at construction.
+    """
+
     kind = "base"
 
     def __init__(self, mirror: bool = False, leaf_score_coef: float = 0.0, engine=None):
-        self.engine = engine if engine is not None else StandaloneEngine(
-            payload_side_right=mirror, leaf_score_coef=leaf_score_coef)
+        self.embedded = engine is not None
+        if engine is None:
+            engine = StandaloneEngine(leaf_score_coef)
+        self.engine = engine
         self.mirror = mirror
+        self._pside = engine.right if mirror else engine.left
+        self._sside = engine.left if mirror else engine.right
         self.size = 0
 
     def __len__(self) -> int:
         return self.size
 
+    def pchild(self, v: int) -> int:
+        """v's payload-side child."""
+        return self._pside[v]
+
+    def schild(self, v: int) -> int:
+        """v's stack-side child: the rest of the stack below v."""
+        return self._sside[v]
+
     def push(self, leaf: PopTartLeaf, key: Optional[int] = None) -> Trace:
+        """Standalone push: the element arrives as the parent of the stack
+        root, its leaf in the payload slot, then the stack rebalances."""
         eng = self.engine
-        elem, lf = eng.arrive(leaf, key)
-        self._note_arrival(elem, lf)
+        old = eng.root
+        if key is None:
+            eng.keys_used += 1
+            # even element keys; payload leaves take the odd neighbor
+            key = 2 * eng.keys_used if self.mirror else -2 * eng.keys_used
+        elif old and (key <= eng.key[old] if self.mirror else key >= eng.key[old]):
+            raise KeyOrderError(
+                f"push key {key} breaks {'increasing' if self.mirror else 'decreasing'} order")
+        e = eng.new_node(key, 1.0)
+        lf = eng.new_node(key + (1 if self.mirror else -1), leaf.weight, leaf)
+        self._pside[e] = lf
+        eng.parent[lf] = e
+        if old:
+            self._sside[e] = old
+            eng.parent[old] = e
+            eng.ops.append(_P)  # the finger climbs onto the newly arrived parent
+        eng._refresh(e)
+        eng.root = eng.finger = e
+        eng.total_leaf_weight += leaf.weight
+        self._note_arrival(e)
         self._push_fixup()
         eng.return_to_root()
         self.size += 1
         return Trace(eng.take_ops())
 
     def pop(self) -> tuple[PopTartLeaf, Trace]:
+        """Standalone pop: detach the root element and its leaf; the finger
+        moves onto the new stack root, then the stack rebalances."""
         if self.size == 0:
             raise PopTartEmptyError("pop from empty stack")
         eng = self.engine
-        rec = eng.detach_top()
+        top = eng.root
+        lf = self._pside[top]
+        if not eng.is_leaf(lf):
+            raise PopTartStructureError(f"stack root {top} has no payload leaf")
+        rec = eng.leaf_rec.pop(lf)
+        nxt = self._sside[top]
+        if nxt:
+            eng.ops.append(_L if self.mirror else _R)
+            eng.parent[nxt] = 0
+        eng.root = eng.finger = nxt
+        eng.total_leaf_weight -= rec.weight
         self._note_extraction()
         self._pop_restore()
         eng.return_to_root()
@@ -342,7 +323,7 @@ class _PopTartBase:
         return self.engine.max_leaf_slack()
 
     # hooks
-    def _note_arrival(self, elem: int, lf: int) -> None:
+    def _note_arrival(self, elem: int) -> None:
         raise NotImplementedError
 
     def _note_extraction(self) -> None:
@@ -364,7 +345,7 @@ class VanillaPopTart(_PopTartBase):
         super().__init__(mirror, leaf_score_coef=1.0)
         self.elems: list[int] = []
 
-    def _note_arrival(self, elem: int, lf: int) -> None:
+    def _note_arrival(self, elem: int) -> None:
         self.elems.insert(0, elem)
 
     def _note_extraction(self) -> None:
@@ -379,17 +360,16 @@ class VanillaPopTart(_PopTartBase):
             if v != e:
                 rep.fail(f"spine order broken at {e}")
                 break
-            lf = eng.pchild(v)
-            if not (lf and eng.is_leaf[lf]):
+            if not eng.is_leaf(self.pchild(v)):
                 rep.fail(f"element {v} payload is not a leaf")
-            v = eng.schild(v)
+            v = self.schild(v)
         return rep
 
     def dump(self) -> str:
         eng = self.engine
         out: list[str] = []
         for i, e in enumerate(self.elems):
-            lf = eng.pchild(e)
+            lf = self.pchild(e)
             out.append("  " * i + f"elem {eng.key[e]} [icing] ({eng.weight[lf]:g})")
         return "\n".join(out) + ("\n" if out else "")
 
@@ -403,7 +383,7 @@ class CherryPopTart(_PopTartBase):
         super().__init__(mirror, leaf_score_coef=0.0)
         self.layers: list[list[int]] = []
 
-    def _note_arrival(self, elem: int, lf: int) -> None:
+    def _note_arrival(self, elem: int) -> None:
         if not self.layers:
             self.layers.append([])
         self.layers[0].insert(0, elem)
@@ -430,7 +410,7 @@ class CherryPopTart(_PopTartBase):
         while i < len(self.layers) and not self.layers[i]:
             if i + 1 < len(self.layers) and self.layers[i + 1]:
                 v = self.layers[i + 1].pop(0)
-                c = eng.pchild(v)
+                c = self.pchild(v)
                 eng.rotate_up(c)  # splits v's crumb into two layer-i nodes
                 self.layers[i] = [c, v]
                 i += 1
@@ -455,8 +435,8 @@ class CherryPopTart(_PopTartBase):
                 if v != e:
                     rep.fail(f"layer {i}: spine order broken at {e}")
                     return rep
-                _check_crumb(eng, eng.pchild(e), i, rep, f"layer {i} node {e}")
-                v = eng.schild(v)
+                _check_crumb(eng, self.pchild(e), i, rep, f"layer {i} node {e}")
+                v = self.schild(v)
         if v:
             rep.fail(f"unexpected spine node {v} after last layer")
         return rep
@@ -467,7 +447,7 @@ class CherryPopTart(_PopTartBase):
         for i, lay in enumerate(self.layers):
             for e in lay:
                 out.append("  " * i + f"elem {eng.key[e]} [reg {i}]")
-                _dump_crumb(eng, eng.pchild(e), i, out, "  " * i + "  ")
+                _dump_crumb(eng, self.pchild(e), i, out, "  " * i + "  ")
         return "\n".join(out) + ("\n" if out else "")
 
 
@@ -481,16 +461,15 @@ class ChocolatePopTart(_PopTartBase):
 
     kind = "chocolate"
 
-    def __init__(self, mirror: bool = False, engine=None, allow_empty_slots: bool = False):
+    def __init__(self, mirror: bool = False, engine=None):
         super().__init__(mirror, leaf_score_coef=7.0, engine=engine)
         self.layers: list[_Layer] = []
         self.frozen: dict[int, list[_Layer]] = {}
         self.base = 0
-        self.allow_empty_slots = allow_empty_slots
 
     # -- structure bookkeeping ------------------------------------------------
 
-    def _note_arrival(self, elem: int, lf: int) -> None:
+    def _note_arrival(self, elem: int) -> None:
         if not self.layers:
             self.layers.append(_Layer(regs=[]))
         self.layers[0].regs.insert(0, elem)
@@ -498,7 +477,7 @@ class ChocolatePopTart(_PopTartBase):
     def push_arrived(self, elem: int) -> None:
         """Embedded entry point: ``elem`` is already the stack root with its
         payload slot in place; run bookkeeping and the rebalance cascade."""
-        self._note_arrival(elem, 0)
+        self._note_arrival(elem)
         self._push_fixup()
         self.size += 1
 
@@ -541,7 +520,7 @@ class ChocolatePopTart(_PopTartBase):
                 self.layers.append(_Layer(regs=[], icing_base=r3))
             # the successor layer must stay lighter than the icing beside it
             nxt = self.layers[i + 1]
-            if eng.subtree_weight(self._layer_top(nxt)) >= eng.subtree_weight(self._icing_root(lay)):
+            if eng.wsub[self._layer_top(nxt)] >= eng.wsub[self._icing_root(lay)]:
                 self._frost(i)
                 return
             lay.thaw_debt = False
@@ -571,7 +550,7 @@ class ChocolatePopTart(_PopTartBase):
                     # pull one node down a layer, splitting its crumb in two
                     v = nxt.regs.pop(0)
                     eng.rotate_up(v)
-                    c = eng.pchild(v)
+                    c = self.pchild(v)
                     eng.rotate_up(c)
                     lay.regs = [c, v]
                     i += 1
@@ -609,7 +588,7 @@ class ChocolatePopTart(_PopTartBase):
         if first.regs:
             v = first.regs.pop(0)
             eng.rotate_up(v)
-            c = eng.pchild(v)
+            c = self.pchild(v)
             eng.rotate_up(c)
             lay.regs = [c, v]
             lay.next_node = e
@@ -634,7 +613,7 @@ class ChocolatePopTart(_PopTartBase):
         _check_inorder(self, rep)
         if self.layers:
             top = self._layer_top(self.layers[0])
-            if hasattr(eng, "root") and eng.root != top:
+            if not self.embedded and eng.root != top:
                 rep.fail(f"stack top {top} is not the tree root {eng.root}")
             self._check_layers(self.layers, rep, top, base=0, frozen_head=False)
         return rep
@@ -665,15 +644,15 @@ class ChocolatePopTart(_PopTartBase):
                 if v != e:
                     rep.fail(f"layer {lvl}: expected reg {e} on the spine, found {v}")
                     return
-                _check_crumb(eng, eng.pchild(e), lvl, rep, f"layer {lvl} reg {e}",
-                             allow_empty=self.allow_empty_slots)
-                v = eng.schild(v)
+                _check_crumb(eng, self.pchild(e), lvl, rep, f"layer {lvl} reg {e}",
+                             allow_empty=self.embedded)
+                v = self.schild(v)
             if lay.next_node:
                 if v != lay.next_node:
                     rep.fail(f"layer {lvl}: next node {lay.next_node} not on the spine")
                     return
-                icing_top = eng.schild(lay.next_node)
-                v = eng.pchild(lay.next_node)
+                icing_top = self.schild(lay.next_node)
+                v = self.pchild(lay.next_node)
             else:
                 icing_top = v
                 v = 0
@@ -685,9 +664,9 @@ class ChocolatePopTart(_PopTartBase):
             w_icing = self._icing_root(lay)
             if (icing_top or w_icing) and icing_top != w_icing:
                 rep.fail(f"layer {lvl}: icing root {w_icing} not at spine position {icing_top}")
-            below = eng.subtree_weight(floor)
+            below = eng.wsub[floor]
             for e in reversed(lay.icing):
-                w = eng.subtree_weight(eng.pchild(e))
+                w = eng.wsub[self.pchild(e)]
                 if w < below:
                     rep.fail(f"icing element {e} lighter than the stack below it")
                 below += w + eng.weight[e]
@@ -697,18 +676,18 @@ class ChocolatePopTart(_PopTartBase):
                     rep.fail(f"layer {lvl}: icing element {e} not at position {cur}")
                     break
                 self._check_layers(
-                    self.frozen[e], rep, eng.pchild(e), base=lvl + 1, frozen_head=True)
-                cur = eng.schild(e)
+                    self.frozen[e], rep, self.pchild(e), base=lvl + 1, frozen_head=True)
+                cur = self.schild(e)
             else:
                 if (cur or floor) and cur != floor:
                     rep.fail(f"layer {lvl}: icing floor misplaced")
             if lay.icing_base:
                 _check_crumb(eng, lay.icing_base, lvl, rep, f"layer {lvl} icing crumb",
-                             allow_empty=self.allow_empty_slots)
+                             allow_empty=self.embedded)
             # live successor stays lighter than this icing, unless just thawed
             if lay.next_node and not lay.thaw_debt:
                 nxt = layers[i + 1]
-                if eng.subtree_weight(self._layer_top(nxt)) >= eng.subtree_weight(self._icing_root(lay)):
+                if eng.wsub[self._layer_top(nxt)] >= eng.wsub[self._icing_root(lay)]:
                     rep.fail(f"layer {lvl}: successor outweighs the icing")
 
     def dump(self) -> str:
@@ -723,11 +702,11 @@ class ChocolatePopTart(_PopTartBase):
             pad = "  " * (indent + i)
             for e in lay.regs:
                 out.append(pad + f"elem {eng.key[e]} [reg {lvl}]")
-                _dump_crumb(eng, eng.pchild(e), lvl, out, pad + "  ")
+                _dump_crumb(eng, self.pchild(e), lvl, out, pad + "  ")
             if lay.next_node:
                 out.append(pad + f"elem {eng.key[lay.next_node]} [next {lvl}]")
             for e in lay.icing:
-                out.append(pad + f"elem {eng.key[e]} [icing] ({eng.subtree_weight(eng.pchild(e)):g})")
+                out.append(pad + f"elem {eng.key[e]} [icing] ({eng.wsub[self.pchild(e)]:g})")
                 self._dump_layers(self.frozen[e], out, indent + i + 1, base=lvl + 1)
             if lay.icing_base:
                 out.append(pad + f"[icing]")
@@ -735,15 +714,15 @@ class ChocolatePopTart(_PopTartBase):
 
 
 def _check_inorder(pt: _PopTartBase, rep: InvariantReport) -> None:
-    if not hasattr(pt.engine, "in_order_keys"):
-        return  # embedded engines validate order through the shared tree
+    if pt.embedded:
+        return  # the embedding tree validates its own symmetric order
     keys = pt.engine.in_order_keys()
     if keys != sorted(keys):
         rep.fail("symmetric key order broken")
 
 
 def _crumb_height(eng: StandaloneEngine, v: int) -> int:
-    if not v or eng.is_leaf[v]:
+    if not v or eng.is_leaf(v):
         return 0
     hl = _crumb_height(eng, eng.left[v])
     hr = _crumb_height(eng, eng.right[v])
@@ -754,7 +733,7 @@ def _crumb_height(eng: StandaloneEngine, v: int) -> int:
 
 def _crumb_slots(eng: StandaloneEngine, v: int) -> int:
     # an absent child inside a crumb is an empty payload slot
-    if not v or eng.is_leaf[v]:
+    if not v or eng.is_leaf(v):
         return 1
     return _crumb_slots(eng, eng.left[v]) + _crumb_slots(eng, eng.right[v])
 
@@ -777,7 +756,7 @@ def _check_crumb(
 def _dump_crumb(eng: StandaloneEngine, c: int, level: int, out: list[str], pad: str) -> None:
     if not c:
         return
-    if eng.is_leaf[c]:
+    if eng.is_leaf(c):
         out.append(pad + f"leaf {eng.key[c]} ({eng.weight[c]:g})")
         return
     out.append(pad + f"node {eng.key[c]} [crumb {level}]")

@@ -143,38 +143,6 @@ class _BlockCtl:
     R: ChocolatePopTart
 
 
-class _BlockRootView:
-    def __init__(self, blocks: dict):
-        self._blocks = blocks
-
-    def __getitem__(self, v: int) -> bool:
-        return v in self._blocks
-
-
-class _SimEngine:
-    """Controller engine over the simulator's shared physical arrays."""
-
-    def __init__(self, sim: "Simulator", mirror: bool):
-        self.mirror = mirror
-        self.rotate_up = sim._rot_at
-        self.left = sim.bleft
-        self.right = sim.bright
-        self.parent = sim.bparent
-        self.weight = sim.w
-        self.wsub = sim.wsub
-        self.key = range(sim.vt.n + 1)
-        self.is_leaf = _BlockRootView(sim.blocks)
-
-    def pchild(self, v: int) -> int:
-        return self.right[v] if self.mirror else self.left[v]
-
-    def schild(self, v: int) -> int:
-        return self.left[v] if self.mirror else self.right[v]
-
-    def subtree_weight(self, v: int) -> float:
-        return self.wsub[v] if v else 0.0
-
-
 class PathStackError(RuntimeError):
     """The virtual finger's parent is not on top of its finger-path stack."""
 
@@ -188,7 +156,11 @@ class SimCounters:
 
 
 class Simulator:
-    """Physical world for one wrapped algorithm run."""
+    """Physical world for one wrapped algorithm run.
+
+    The simulator is itself the engine of every chocolate stack it holds:
+    the physical link arrays, ``weight``, ``wsub``, ``key``, ``is_leaf`` (a
+    block root fills a payload slot) and ``rotate_up``."""
 
     def __init__(self, vt: VirtualTree, lazy: bool = False):
         if vt.finger != vt.root:
@@ -196,17 +168,18 @@ class Simulator:
                              "initial layout needs the virtual finger on the root")
         self.vt = vt
         n = vt.n
-        self.w = vt.w
+        self.weight = vt.w
+        self.key = range(n + 1)
         if lazy:
             # the physical tree starts as the original one
-            self.bleft = vt.left[:]
-            self.bright = vt.right[:]
-            self.bparent = vt.parent[:]
+            self.left = vt.left[:]
+            self.right = vt.right[:]
+            self.parent = vt.parent[:]
             self.wsub = vt.wsub[:]
         else:
-            self.bleft = [0] * (n + 1)
-            self.bright = [0] * (n + 1)
-            self.bparent = [0] * (n + 1)
+            self.left = [0] * (n + 1)
+            self.right = [0] * (n + 1)
+            self.parent = [0] * (n + 1)
             self.wsub = [0.0] * (n + 1)
         self.blocks: dict[int, _BlockCtl] = {}
         self.entry: dict[int, int] = {}
@@ -215,21 +188,19 @@ class Simulator:
         self.counters = SimCounters()
         self._ops: list[BstOp] = []
         self._building = True
-        self.engN = _SimEngine(self, mirror=False)
-        self.engF = _SimEngine(self, mirror=True)
         # the finger-path stacks: left side flipped, right side normal
-        self.zL = ChocolatePopTart(mirror=True, engine=self.engF, allow_empty_slots=True)
-        self.zR = ChocolatePopTart(mirror=False, engine=self.engN, allow_empty_slots=True)
+        self.zL = ChocolatePopTart(mirror=True, engine=self)
+        self.zR = ChocolatePopTart(mirror=False, engine=self)
         f = vt.finger
         for c in (vt.left[f], vt.right[f]):
             if c:
                 x = self._hang(c, lazy)
                 if c < f:
-                    self.bleft[f] = x
+                    self.left[f] = x
                 else:
-                    self.bright[f] = x
-                self.bparent[x] = f
-        self.wsub[f] = self.w[f] + self.wsub[self.bleft[f]] + self.wsub[self.bright[f]]
+                    self.right[f] = x
+                self.parent[x] = f
+        self.wsub[f] = self.weight[f] + self.wsub[self.left[f]] + self.wsub[self.right[f]]
         self.pt = self._finalize_tree(f)
         self._building = False
 
@@ -237,8 +208,8 @@ class Simulator:
 
     def _new_block(self, x: int, entry: int) -> _BlockCtl:
         ctl = self.blocks[x] = _BlockCtl(
-            ChocolatePopTart(engine=self.engN, allow_empty_slots=True),
-            ChocolatePopTart(mirror=True, engine=self.engF, allow_empty_slots=True),
+            ChocolatePopTart(engine=self),
+            ChocolatePopTart(mirror=True, engine=self),
         )
         self.entry[x] = entry
         return ctl
@@ -266,7 +237,7 @@ class Simulator:
             path.append(vt.solid[path[-1]])
         x = path[-1]
         ctl = self._new_block(x, v)
-        self.wsub[x] = self.w[x]
+        self.wsub[x] = self.weight[x]
         for i in range(len(path) - 2, -1, -1):
             u = path[i]
             succ = path[i + 1]
@@ -274,41 +245,44 @@ class Simulator:
             hang = vt.left[u] if vt.right[u] == succ else vt.right[u]
             hx = self._hang(hang, lazy) if hang else 0
             if u < x:
-                old = self.bleft[x]
-                self.bleft[u] = hx
-                self.bright[u] = old
-                self.bleft[x] = u
+                old = self.left[x]
+                self.left[u] = hx
+                self.right[u] = old
+                self.left[x] = u
             else:
-                old = self.bright[x]
-                self.bright[u] = hx
-                self.bleft[u] = old
-                self.bright[x] = u
+                old = self.right[x]
+                self.right[u] = hx
+                self.left[u] = old
+                self.right[x] = u
             if hx:
-                self.bparent[hx] = u
+                self.parent[hx] = u
             if old:
-                self.bparent[old] = u
-            self.bparent[u] = x
-            self.wsub[u] = self.w[u] + self.wsub[hx] + self.wsub[old]
-            self.wsub[x] += self.w[u] + self.wsub[hx]
+                self.parent[old] = u
+            self.parent[u] = x
+            self.wsub[u] = self.weight[u] + self.wsub[hx] + self.wsub[old]
+            self.wsub[x] += self.weight[u] + self.wsub[hx]
             (ctl.L if u < x else ctl.R).push_arrived(u)
         return x
 
     def _finalize_tree(self, root: int) -> ModelTree:
         pt = object.__new__(ModelTree)
         pt.n = self.vt.n
-        pt.left = self.bleft
-        pt.right = self.bright
-        pt.parent = self.bparent
+        pt.left = self.left
+        pt.right = self.right
+        pt.parent = self.parent
         pt.root = root
         pt.finger = root
         pt._track_height = True
         pt.hgt = [0] * (self.vt.n + 1)
-        pt._stale = []  # exact: _rot_at and _restructure refresh the heights
+        pt._stale = []  # exact: rotate_up and _restructure refresh the heights
         pt._check_structure()
         pt._recompute_heights()
         return pt
 
     # -- physical op plumbing ---------------------------------------------------
+
+    def is_leaf(self, v: int) -> bool:
+        return v in self.blocks
 
     def walk_to(self, v: int) -> None:
         pt = self.pt
@@ -316,30 +290,30 @@ class Simulator:
         if f == v:
             return
         # adjacent hops dominate; avoid building full root paths for them
-        if self.bparent[f] == v:
+        if self.parent[f] == v:
             self._ops.append(_P)
-        elif self.bleft[f] == v:
+        elif self.left[f] == v:
             self._ops.append(_L)
-        elif self.bright[f] == v:
+        elif self.right[f] == v:
             self._ops.append(_R)
         else:
-            self._ops.extend(walk_ops(self.bleft, self.bparent, f, v))
+            self._ops.extend(walk_ops(self.left, self.parent, f, v))
         pt.finger = v
 
-    def _rot_at(self, v: int) -> None:
+    def rotate_up(self, v: int) -> None:
         """Rotate node v over its parent, maintaining subtree weights; a
         counted rotation first walks the finger to v and keeps the physical
         root and heights current."""
-        parent = self.bparent
+        parent = self.parent
         if not parent[v]:
             raise IllegalOpError(_U, v, "rotate at the physical root")
         counted = not self._building
         if counted and self.pt.finger != v:
             self.walk_to(v)
-        left, right, wsub = self.bleft, self.bright, self.wsub
+        left, right, wsub = self.left, self.right, self.wsub
         p = rotate_edge(left, right, parent, v)
         wsub[v] = wsub[p]
-        wsub[p] = self.w[p] + wsub[left[p]] + wsub[right[p]]
+        wsub[p] = self.weight[p] + wsub[left[p]] + wsub[right[p]]
         if counted:
             self._ops.append(_U)
             pt = self.pt
@@ -386,19 +360,19 @@ class Simulator:
             self.next_bit[prev] = f < g
         wstar = move_side.top_element()
         if wstar:
-            xB = move_side.engine.pchild(wstar)
+            xB = move_side.pchild(wstar)
         else:
             xB = pt.right[f] if to_right else pt.left[f]
         if xB in self.raw:
             self._restructure(xB)
-            xB = move_side.engine.pchild(wstar) if wstar else (
+            xB = move_side.pchild(wstar) if wstar else (
                 pt.right[f] if to_right else pt.left[f])
         if recv_side.size == 0:
             # f's untouched slot becomes the original leaf under the stack
             recv_side.base = pt.left[f] if to_right else pt.right[f]
         self.walk_to(g)
         while pt.parent[g]:
-            self._rot_at(g)
+            self.rotate_up(g)
         ctl = self.blocks[xB]
         if g == xB:
             del self.blocks[g]
@@ -420,10 +394,10 @@ class Simulator:
         zone_o = self.zR if p_on_left else self.zL
         if zone_p.top_element() != p:
             raise PathStackError(f"path parent {p} does not top its stack")
-        self._rot_at(p)
+        self.rotate_up(p)
         wstar_o = zone_o.top_element()
         if wstar_o:
-            self._rot_at(wstar_o)
+            self.rotate_up(wstar_o)
         self._reblock_isolated(f)
         zone_p.pop_extracted()
         if zone_p.size == 0:
@@ -443,14 +417,14 @@ class Simulator:
             if xT in self.raw:
                 self._restructure(xT)
                 xT = pt.right[f]
-            self._rot_at(xT)
+            self.rotate_up(xT)
             self.blocks[xT].L.push_arrived(f)
         else:
             xT = pt.left[f]
             if xT in self.raw:
                 self._restructure(xT)
                 xT = pt.left[f]
-            self._rot_at(xT)
+            self.rotate_up(xT)
             self.blocks[xT].R.push_arrived(f)
         self.next_bit[f] = self.entry[xT] < xT
         self.entry[xT] = f
@@ -468,12 +442,12 @@ class Simulator:
         vt.apply_rotation()
         # lift p over f, settle the stack, then sink p into the slot that
         # already holds its own hanging subtree
-        self._rot_at(p)
+        self.rotate_up(p)
         zone_p.pop_extracted()
-        self._rot_at(f)
+        self.rotate_up(f)
         u = zone_p.top_element()
         if u:
-            self._rot_at(u)
+            self.rotate_up(u)
         else:
             zone_p.base = 0
         self._reblock_isolated(p)
@@ -491,7 +465,7 @@ class Simulator:
         del self.blocks[c]
         self.entry.pop(c, None)
         vt = self.vt
-        left, right, parent, wsub = self.bleft, self.bright, self.bparent, self.wsub
+        left, right, parent, wsub = self.left, self.right, self.parent, self.wsub
         # the builder writes only to c's heavy path and the roots hanging off it
         path = [c]
         while vt.solid[path[-1]]:
@@ -513,7 +487,7 @@ class Simulator:
             v, anchor = todo.pop()
             order.append(v)
             while parent[v] != anchor:
-                self._rot_at(v)
+                self.rotate_up(v)
             for ch in target[v]:
                 if ch and ch not in self.raw:
                     todo.append((ch, v))
@@ -553,7 +527,7 @@ class Simulator:
         stack = [(pt.root, 0)]
         while stack:
             v, d = stack.pop()
-            if d > mult * log2(W / self.w[v]) + add:
+            if d > mult * log2(W / self.weight[v]) + add:
                 bad.append(v)
             if pt.left[v]:
                 stack.append((pt.left[v], d + 1))
@@ -563,10 +537,6 @@ class Simulator:
 
 
 # -- public surface --------------------------------------------------------------
-
-
-def build_initial(vt: VirtualTree, lazy: bool = False) -> Simulator:
-    return Simulator(vt, lazy=lazy)
 
 
 def simulate_access(sim: Simulator, virtual_ops: Trace) -> Trace:

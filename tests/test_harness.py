@@ -224,17 +224,3 @@ def test_cli_compare(tmp_path):
     assert out.exit_code == 0
     assert out.output.splitlines()[0].endswith("ratio_vs_first")
 
-
-def test_constants_env_override(tmp_path, monkeypatch):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"C_SCAN": 99.0}))
-    monkeypatch.setenv("DEAMORT_CONSTANTS", str(cfg))
-    import importlib
-
-    import deamort.constants as consts
-
-    importlib.reload(consts)
-    assert consts.FROZEN["C_SCAN"] == 99.0
-    monkeypatch.delenv("DEAMORT_CONSTANTS")
-    importlib.reload(consts)
-    assert consts.FROZEN["C_SCAN"] != 99.0

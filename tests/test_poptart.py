@@ -103,9 +103,9 @@ def test_cherry_four_pushes_overflow():
     rep = pt.check_invariants()
     assert rep.ok, rep.errors
     eng = pt.engine
-    c = eng.pchild(pt.layers[1][0])
-    assert not eng.is_leaf[c]  # 1-crumb root is internal with two leaf children
-    assert eng.is_leaf[eng.left[c]] and eng.is_leaf[eng.right[c]]
+    c = pt.pchild(pt.layers[1][0])
+    assert not eng.is_leaf(c)  # 1-crumb root is internal with two leaf children
+    assert eng.is_leaf(eng.left[c]) and eng.is_leaf(eng.right[c])
 
 
 def test_cherry_pop_pulls_from_next_layer():

@@ -10,7 +10,6 @@ from deamort.simulation import (
     Simulator,
     VirtualTree,
     WrappedAlgorithm,
-    build_initial,
     decode_virtual,
     dump_state,
     heavy_path_decompose,
@@ -42,13 +41,13 @@ def test_heavy_path_weighted_pulls_right():
 
 
 def test_build_single_node():
-    sim = build_initial(_vt(1))
+    sim = Simulator(_vt(1))
     assert sim.pt.n == 1 and sim.pt.root == 1
 
 
 def test_build_linear_right_one_heavy_path():
     n = 9
-    sim = build_initial(_vt(n, "linear-right"))
+    sim = Simulator(_vt(n, "linear-right"))
     # path end n becomes the block root under the virtual root's right slot
     assert sim.pt.root == 1
     assert sim.pt.hgt[sim.pt.root] <= DEPTH_MULT * math.log2(n) + DEPTH_ADD
@@ -64,7 +63,7 @@ def test_build_all_or_random_shapes_depth(n):
     ]
     for parents in shapes:
         vt = VirtualTree(ModelTree.new_tree(n, parents))
-        sim = build_initial(vt)
+        sim = Simulator(vt)
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
         errs = sim.check_state()
         assert not errs, (n, parents, errs)
@@ -104,7 +103,7 @@ def test_build_weighted_depth_bound():
         parents = _random_parents(n, rng)
         weights = [math.exp(rng.uniform(0, 12)) for _ in range(n)]
         vt = VirtualTree(ModelTree.new_tree(n, parents), weights)
-        sim = build_initial(vt)
+        sim = Simulator(vt)
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD), (n, parents)
 
 
@@ -184,7 +183,7 @@ def test_wrap_online_prefix_property():
 def test_simulate_access_function():
     t = ModelTree.new_tree(5, "balanced")
     vt = VirtualTree(t)
-    sim = build_initial(vt)
+    sim = Simulator(vt)
     inner = StaticAlgorithm(t.copy())
     tr = inner.access(1)
     phys = simulate_access(sim, tr)
@@ -277,7 +276,7 @@ def test_dump_state_mentions_annotations():
 def test_illegal_virtual_op_raises():
     from deamort.model import BstOp, IllegalOpError
 
-    sim = build_initial(_vt(3))
+    sim = Simulator(_vt(3))
     with pytest.raises(IllegalOpError):
         sim.apply_virtual(BstOp.PARENT)  # virtual finger at root
 
@@ -286,7 +285,7 @@ def test_corrupt_path_stack_raises_named_error():
     from deamort.model import BstOp
     from deamort.simulation import PathStackError
 
-    sim = build_initial(_vt(15))
+    sim = Simulator(_vt(15))
     sim.apply_virtual(BstOp.LEFT)
     sim.apply_virtual(BstOp.LEFT)
     # the path parent of the virtual finger tops the right-side stack
@@ -297,3 +296,18 @@ def test_corrupt_path_stack_raises_named_error():
         sim.apply_virtual(BstOp.PARENT)
     with pytest.raises(PathStackError):
         sim.apply_virtual(BstOp.ROTATE)
+
+
+def test_check_state_reports_a_block_root_that_is_not_a_leaf():
+    rng = random.Random(4)
+    w = wrap(SplayAlgorithm(ModelTree.new_tree(63, "balanced")))
+    for _ in range(5):
+        w.access(rng.randint(1, 63))
+    sim = w.sim
+    assert not sim.check_state()
+    stacks = [sim.zL, sim.zR] + [s for ctl in sim.blocks.values() for s in (ctl.L, ctl.R)]
+    slots = [s.pchild(e) for s in stacks for lay in s.layers for e in lay.regs]
+    victim = next(c for c in slots if c in sim.blocks)
+    # the stack holding it now sees an inner node where a payload leaf belongs
+    del sim.blocks[victim]
+    assert any("crumb" in e for e in sim.check_state())
