@@ -4,7 +4,7 @@ transforms for self-adjusting search trees."""
 from .algorithms import ALGORITHMS, OnlineBstAlgorithm, make_algorithm
 from .model import BstOp, IllegalOpError, ModelTree, Trace, VerifyReport, verify_trace
 from .poptart import PopTartLeaf, make_poptart
-from .simulation import VirtualTree, heavy_path_decompose, simulate_access, wrap
+from .simulation import VirtualTree, heavy_path_decompose, wrap
 from .transforms import (
     GuaranteeViolation,
     InterleaveConfig,
@@ -31,7 +31,6 @@ __all__ = [
     "make_algorithm",
     "make_poptart",
     "online_transform",
-    "simulate_access",
     "verify_trace",
     "wrap",
 ]

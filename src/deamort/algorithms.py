@@ -3,8 +3,9 @@
 Each algorithm owns a :class:`ModelTree` and serves one key at a time;
 ``access`` returns the operations emitted for that key, already applied to
 the tree, ending with an access boundary. ``access_stream`` exposes the same
-operations in bursts so transformation layers can pause between them. These
-reference algorithms keep no state besides the tree itself.
+operations in bursts; it serves the layers that the transforms wrap, which
+pause between bursts. The transforms themselves serve whole accesses only.
+These reference algorithms keep no state besides the tree itself.
 """
 
 from __future__ import annotations

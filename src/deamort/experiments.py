@@ -46,9 +46,7 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
                    shape: ShapeSpec = "balanced", weights=None,
                    lazy: bool = False, compute_opt: bool = False) -> CostReport:
     seq = gen_sequence(spec)
-    # a raw run's tree settles its heights only when the probe reads them
-    tree = ModelTree.new_tree(spec.n, shape, track_height=chain == "none")
-    alg = build_chain(algo_id, chain, tree, weights, lazy)
+    alg = build_chain(algo_id, chain, ModelTree.new_tree(spec.n, shape), weights, lazy)
     t0 = alg.tree.copy()
     full = Trace()
     max_depth = 0

@@ -120,24 +120,21 @@ class ModelTree:
 
     Link arrays are 1-indexed by key; slot 0 is unused and 0 encodes an
     absent link. Mutation happens through :meth:`apply_op`, or through
-    :func:`rotate_edge` by a caller that emits the same op and reports the
-    rotated nodes to :meth:`mark_stale`, so recorded traces replay exactly.
+    :func:`rotate_edge` by a caller that emits the same op and either reports
+    the rotated nodes to :meth:`mark_stale` or keeps ``hgt`` exact itself, so
+    recorded traces replay exactly.
 
-    A tree built with ``track_height`` keeps per-node heights in ``hgt``
-    lazily. Rotations only note their endpoints as stale; :meth:`height`
-    settles the heights of the stale nodes and their ancestors, children
-    first. So ``hgt`` is exact at every node right after a :meth:`height`
-    call and until the next rotation. A fresh tracked tree, or one whose
-    stale list grew past n entries, has unknown heights, and its next
-    :meth:`height` recomputes them all. The simulator's physical tree is the
-    exception: it climbs the heights itself after every rotation, so there
-    ``hgt`` is exact after every op.
+    Heights in ``hgt`` are deferred. A tree starts with unknown heights, and
+    its first :meth:`height` recomputes them all. After that, rotations only
+    note their endpoints as stale, and :meth:`height` settles the stale nodes
+    and their ancestors, children first. So ``hgt`` is exact at every node
+    right after a :meth:`height` call and until the next rotation. Past n
+    stale entries the heights are unknown again.
     """
 
-    __slots__ = ("n", "left", "right", "parent", "root", "finger", "_track_height", "hgt",
-                 "_stale")
+    __slots__ = ("n", "left", "right", "parent", "root", "finger", "hgt", "_stale")
 
-    def __init__(self, parents: Sequence[int], track_height: bool = False):
+    def __init__(self, parents: Sequence[int]):
         """Build from a signed parent array.
 
         ``parents[k-1]`` is 0 for the root, ``p`` if key k is the right child
@@ -172,21 +169,31 @@ class ModelTree:
             parent[k] = p
         if not root:
             raise MalformedTreeError(1, "no root")
-        self.n = n
+        self._link(left, right, parent, root)
+
+    @classmethod
+    def from_links(cls, left: list[int], right: list[int], parent: list[int],
+                   root: int) -> "ModelTree":
+        """A tree over existing link arrays, shared, not copied, with the
+        finger at ``root``. The links must encode a BST over 1..n."""
+        t = cls.__new__(cls)
+        t._link(left, right, parent, root)
+        return t
+
+    def _link(self, left: list[int], right: list[int], parent: list[int], root: int) -> None:
+        self.n = len(left) - 1
         self.left = left
         self.right = right
         self.parent = parent
         self.root = root
         self.finger = root
-        self._track_height = track_height
-        self.hgt = [0] * (n + 1)
-        # stale nodes since the last height(); None while the heights are
-        # unknown, and always on an untracked tree
+        self.hgt = [0] * len(left)
+        # stale nodes since the last height(); None while the heights are unknown
         self._stale: Optional[list[int]] = None
         self._check_structure()
 
     @classmethod
-    def new_tree(cls, n: int, shape: ShapeSpec = "balanced", track_height: bool = False) -> "ModelTree":
+    def new_tree(cls, n: int, shape: ShapeSpec = "balanced") -> "ModelTree":
         """Build a fresh tree with the finger at the root."""
         if n < 1:
             raise MalformedTreeError(0, "n must be >= 1")
@@ -204,7 +211,7 @@ class ModelTree:
             parents = list(shape)
             if len(parents) != n:
                 raise MalformedTreeError(0, f"parent array has {len(parents)} entries, expected {n}")
-        return cls(parents, track_height=track_height)
+        return cls(parents)
 
     # -- structure checks ---------------------------------------------------
 
@@ -270,13 +277,14 @@ class ModelTree:
         for op in trace.ops:
             self.apply_op(op)
 
-    # -- height bookkeeping (optional, used by instrumented runs) -----------
+    # -- deferred heights -----------------------------------------------------
 
     def mark_stale(self, nodes: Iterable[int]) -> None:
         """Note that the subtrees of ``nodes`` changed shape, as both ends of
-        a rotated edge do. On a tracked tree :meth:`height` settles them and
-        their ancestors; past n noted entries the list is dropped and the
-        next :meth:`height` recomputes everything, so memory stays O(n)."""
+        a rotated edge do; :meth:`height` settles them and their ancestors.
+        While the heights are unknown nothing is noted. Past n noted entries
+        the list is dropped and the next :meth:`height` recomputes
+        everything, so memory stays O(n)."""
         stale = self._stale
         if stale is not None:
             stale.extend(nodes)
@@ -329,28 +337,6 @@ class ModelTree:
             hr = hgt[self.right[v]] + 1 if self.right[v] else 0
             hgt[v] = hl if hl > hr else hr
 
-    def _refresh_heights(self, nodes: Iterable[int]) -> None:
-        """Recompute the heights of ``nodes``, listed children before
-        parents, then climb from the last one's parent until a height comes
-        out unchanged. Every node whose subtree changed shape must be listed
-        or lie on that climb, as both ends of a rotated edge do. This is the
-        simulator's eager upkeep; trees that only read their height now and
-        then use :meth:`mark_stale` instead."""
-        hgt, left, right, parent = self.hgt, self.left, self.right, self.parent
-        for v in nodes:
-            hl = hgt[left[v]] + 1 if left[v] else 0
-            hr = hgt[right[v]] + 1 if right[v] else 0
-            hgt[v] = hl if hl > hr else hr
-        v = parent[v]
-        while v:
-            hl = hgt[left[v]] + 1 if left[v] else 0
-            hr = hgt[right[v]] + 1 if right[v] else 0
-            h = hl if hl > hr else hr
-            if hgt[v] == h:
-                return
-            hgt[v] = h
-            v = parent[v]
-
     # -- queries ------------------------------------------------------------
 
     def depth(self, k: int) -> int:
@@ -363,32 +349,14 @@ class ModelTree:
         return d
 
     def height(self) -> int:
-        if self._track_height:
-            self._settle_heights()
-            return self.hgt[self.root]
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            v, d = stack.pop()
-            if d > best:
-                best = d
-            if self.left[v]:
-                stack.append((self.left[v], d + 1))
-            if self.right[v]:
-                stack.append((self.right[v], d + 1))
-        return best
+        self._settle_heights()
+        return self.hgt[self.root]
 
     def copy(self) -> "ModelTree":
-        t = object.__new__(ModelTree)
-        t.n = self.n
-        t.left = self.left[:]
-        t.right = self.right[:]
-        t.parent = self.parent[:]
-        t.root = self.root
+        """An independent tree of the same shape and finger; its heights
+        start unknown."""
+        t = ModelTree.from_links(self.left[:], self.right[:], self.parent[:], self.root)
         t.finger = self.finger
-        t._track_height = self._track_height
-        t.hgt = self.hgt[:]
-        t._stale = None if self._stale is None else self._stale[:]
         return t
 
     # -- text format ---------------------------------------------------------
@@ -525,8 +493,9 @@ def verify_trace(
     trace realizes an access to the starting finger. With supplied boundaries
     (defaulting to the trace's own), access i must be visited in the window
     between boundary i-1 and boundary i; the windows share their endpoints,
-    which lets a repeated key be served at zero cost. Without boundaries,
-    first-visit positions are used. Illegality is reported, never raised.
+    which lets a repeated key be served at zero cost; boundaries whose count
+    differs from the sequence's are rejected. Only when neither is given are
+    first-visit positions used. Illegality is reported, never raised.
 
     ``per_access_cost`` splits the trace at the internal boundaries, with the
     last access extending to the end of the trace so costs always sum to the
@@ -559,7 +528,7 @@ def verify_trace(
         visit(f)
 
     m = len(s)
-    if boundaries is None and trace.boundaries and len(trace.boundaries) == m:
+    if boundaries is None and trace.boundaries:
         boundaries = trace.boundaries
 
     if boundaries is not None:

@@ -305,15 +305,6 @@ class _PopTartBase:
     def total_weight(self) -> float:
         return self.engine.total_leaf_weight
 
-    def leaf_depth(self, leaf: "PopTartLeaf | int") -> int:
-        """Current depth of a live leaf, by record or by id."""
-        want = leaf.id if isinstance(leaf, PopTartLeaf) else leaf
-        eng = self.engine
-        for node, rec in eng.leaf_rec.items():
-            if rec.id == want:
-                return eng.leaf_depth(node)
-        raise PopTartError(f"no live leaf with id {want}")
-
     def leaf_depths(self) -> list[tuple[float, int]]:
         """(weight, depth) for every live leaf."""
         eng = self.engine

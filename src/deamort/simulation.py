@@ -27,10 +27,10 @@ counted operations, leaving its hanging subtrees raw in turn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
-from .model import BstOp, IllegalOpError, ModelTree, Trace, rotate_edge, walk_ops
+from .model import BstOp, IllegalOpError, ModelTree, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
 
 _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
@@ -160,7 +160,13 @@ class Simulator:
 
     The simulator is itself the engine of every chocolate stack it holds:
     the physical link arrays, ``weight``, ``wsub``, ``key``, ``is_leaf`` (a
-    block root fills a payload slot) and ``rotate_up``."""
+    block root fills a payload slot) and ``rotate_up``.
+
+    It also keeps the physical tree's ``hgt`` exact after every counted
+    rotation: :meth:`_climb_heights` recomputes both ends of the rotated
+    edge and climbs until a height comes out unchanged. Lazy restructuring
+    turns the climb off while it rotates a region into shape and makes one
+    pass over the region afterwards."""
 
     def __init__(self, vt: VirtualTree, lazy: bool = False):
         if vt.finger != vt.root:
@@ -188,6 +194,7 @@ class Simulator:
         self.counters = SimCounters()
         self._ops: list[BstOp] = []
         self._building = True
+        self._climb = True
         # the finger-path stacks: left side flipped, right side normal
         self.zL = ChocolatePopTart(mirror=True, engine=self)
         self.zR = ChocolatePopTart(mirror=False, engine=self)
@@ -201,7 +208,8 @@ class Simulator:
                     self.right[f] = x
                 self.parent[x] = f
         self.wsub[f] = self.weight[f] + self.wsub[self.left[f]] + self.wsub[self.right[f]]
-        self.pt = self._finalize_tree(f)
+        self.pt = ModelTree.from_links(self.left, self.right, self.parent, f)
+        self.pt.height()  # the first read computes every height
         self._building = False
 
     # -- construction ---------------------------------------------------------
@@ -264,21 +272,6 @@ class Simulator:
             (ctl.L if u < x else ctl.R).push_arrived(u)
         return x
 
-    def _finalize_tree(self, root: int) -> ModelTree:
-        pt = object.__new__(ModelTree)
-        pt.n = self.vt.n
-        pt.left = self.left
-        pt.right = self.right
-        pt.parent = self.parent
-        pt.root = root
-        pt.finger = root
-        pt._track_height = True
-        pt.hgt = [0] * (self.vt.n + 1)
-        pt._stale = []  # exact: rotate_up and _restructure refresh the heights
-        pt._check_structure()
-        pt._recompute_heights()
-        return pt
-
     # -- physical op plumbing ---------------------------------------------------
 
     def is_leaf(self, v: int) -> bool:
@@ -316,11 +309,30 @@ class Simulator:
         wsub[p] = self.weight[p] + wsub[left[p]] + wsub[right[p]]
         if counted:
             self._ops.append(_U)
-            pt = self.pt
             if not parent[v]:
-                pt.root = v
-            if pt._track_height:
-                pt._refresh_heights((p, v))
+                self.pt.root = v
+            if self._climb:
+                self._climb_heights((p, v))
+
+    def _climb_heights(self, nodes: Iterable[int]) -> None:
+        """Recompute the heights of ``nodes``, listed children before
+        parents, then climb from the last one's parent until a height comes
+        out unchanged. Every node whose subtree changed shape must be listed
+        or lie on that climb, as both ends of a rotated edge do."""
+        hgt, left, right, parent = self.pt.hgt, self.left, self.right, self.parent
+        for v in nodes:
+            hl = hgt[left[v]] + 1 if left[v] else 0
+            hr = hgt[right[v]] + 1 if right[v] else 0
+            hgt[v] = hl if hl > hr else hr
+        v = parent[v]
+        while v:
+            hl = hgt[left[v]] + 1 if left[v] else 0
+            hr = hgt[right[v]] + 1 if right[v] else 0
+            h = hl if hl > hr else hr
+            if hgt[v] == h:
+                return
+            hgt[v] = h
+            v = parent[v]
 
     # -- virtual op application --------------------------------------------------
 
@@ -480,7 +492,7 @@ class Simulator:
             left[v], right[v], parent[v], wsub[v] = l, r, p, w
         before = len(self._ops)
         # one height pass over the region afterwards, not a climb per rotation
-        self.pt._track_height = False
+        self._climb = False
         order = []
         todo = [(x, parent[c])]  # the target root takes c's place
         while todo:
@@ -491,8 +503,8 @@ class Simulator:
             for ch in target[v]:
                 if ch and ch not in self.raw:
                     todo.append((ch, v))
-        self.pt._track_height = True
-        self.pt._refresh_heights(reversed(order))
+        self._climb = True
+        self._climb_heights(reversed(order))
         self.counters.restructure_ops += len(self._ops) - before
 
     # -- verification helpers ---------------------------------------------------
@@ -537,15 +549,6 @@ class Simulator:
 
 
 # -- public surface --------------------------------------------------------------
-
-
-def simulate_access(sim: Simulator, virtual_ops: Trace) -> Trace:
-    """Translate a virtual op list into the physical trace."""
-    out = Trace()
-    for op in virtual_ops.ops:
-        out.ops.extend(sim.apply_virtual(op))
-    out.boundaries = [len(out.ops)] if virtual_ops.boundaries else []
-    return out
 
 
 class WrappedAlgorithm(OnlineBstAlgorithm):

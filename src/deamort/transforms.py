@@ -13,9 +13,13 @@ through tree nodes: a cell lives inside a tree node (addressed by key, so
 rotations cannot disturb it) holding the queued key and the host key of the
 next cell, and every queue operation pays the finger walks needed to reach
 its cells. Per request the transform runs up to three routines: drain queued
-streams within d*f(n) ops, advance the newest key's stream within f(n) ops,
-and, if that stream is still unfinished, answer the request with a direct
-search and enqueue the key.
+streams within d*f(n) ops (d is the frozen ``ONLINE_D``), advance the newest
+key's stream within f(n) ops, and, if that stream is still unfinished, answer
+the request with a direct search and enqueue the key.
+
+Both transforms pause the wrapped layer between the bursts of its
+``access_stream``, but serve whole accesses themselves: no chain puts one
+transform under another.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self.n = inner.n
         self._since_boundary = 0
         self._segment = 0
-        self._boundary_pos: Optional[int] = None
         self._gen: Optional[Iterator[list[BstOp]]] = None
         self._unstarted: list[int] = []
         self.forced_accesses = 0
@@ -90,38 +93,27 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self._segment = 0
         self._since_boundary = 0
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def access(self, key: int) -> Trace:
         self._require_key(key)
         t = self.tree
         self._unstarted.append(key)
-        yielded = 0
-        self._boundary_pos = None
-        while True:
-            if t.finger == key:
-                self._boundary_pos = yielded
-                self._close_segment()
-                return
+        ops: list[BstOp] = []
+        while t.finger != key:
             if (t.finger == t.root
                     and self._since_boundary >= self.cfg.budget(self.n)):
+                # forced round trip; the walk back up opens the next segment
                 down = descend(t.left, t.right, t.root, key)[1]
-                t.finger = key
                 self._segment += len(down)
                 self.forced_accesses += 1
-                self._boundary_pos = yielded + len(down)
                 self._close_segment()
-                back = [_P] * len(down)
-                t.finger = t.root
                 self.total_ops += 2 * len(down)
-                self._segment += len(back)
-                yield down + back
-                return
+                self._segment += len(down)
+                return Trace(ops + down + [_P] * len(down), [len(ops) + len(down)])
             if self._gen is None:
                 if not self._unstarted:
                     # stream fully drained without the finger resting on the
                     # key: the last burst still realized it
-                    self._boundary_pos = yielded
-                    self._close_segment()
-                    return
+                    break
                 self._gen = self.inner.access_stream(self._unstarted.pop(0))
             burst = next(self._gen, None)
             if burst is None:
@@ -131,15 +123,9 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
             self.original_ops += len(burst)
             self._segment += len(burst)
             self._since_boundary += len(burst)
-            yielded += len(burst)
-            yield burst
-
-    def access(self, key: int) -> Trace:
-        ops: list[BstOp] = []
-        for burst in self.access_stream(key):
-            ops.extend(burst)
-        b = self._boundary_pos if self._boundary_pos is not None else len(ops)
-        return Trace(ops, [b])
+            ops += burst
+        self._close_segment()
+        return Trace(ops, [len(ops)])
 
 
 def interleave_transform(
@@ -225,23 +211,21 @@ class OnlineCounters:
 
 
 class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
-    """Caps the work spent on every request at a fixed multiple of f(n)."""
+    """Caps the work spent on every request at K*f(n), K the frozen
+    ``ONLINE_K``."""
 
     def __init__(self, inner: OnlineBstAlgorithm,
-                 f_bound: Optional[Callable[[int], float]] = None,
-                 d: Optional[float] = None,
-                 hard_cap: Optional[float] = None):
+                 f_bound: Optional[Callable[[int], float]] = None):
         self.inner = inner
         self.tree = inner.tree
         self.n = inner.n
         f = f_bound if f_bound is not None else (lambda n: math.log2(max(n, 2)))
         self.f_n = max(1.0, float(f(self.n)))
-        self.d = float(d) if d is not None else FROZEN["ONLINE_D"]
         self.queue = WorkQueue(self.tree)
         self.counters = OnlineCounters()
         self._proc: Optional[Iterator[list[BstOp]]] = None  # oldest key's suspended stream
         self._pending_up = 0
-        self._cap = hard_cap if hard_cap is not None else FROZEN["ONLINE_K"] * self.f_n
+        self._cap = FROZEN["ONLINE_K"] * self.f_n
 
     def _pull(self, gen: Iterator[list[BstOp]], budget: float, chunk: list[BstOp]) -> tuple[int, bool]:
         """Advance a suspended op stream until the budget is spent or it ends."""
@@ -254,7 +238,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
             chunk.extend(burst)
         return done, False
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def access(self, key: int) -> Trace:
         self._require_key(key)
         t = self.tree
         chunk: list[BstOp] = []
@@ -268,7 +252,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         q = self.queue
         if len(q):
             ran += "A"
-            budget = self.d * self.f_n
+            budget = FROZEN["ONLINE_D"] * self.f_n
             spent = 0.0
             while spent < budget and len(q):
                 if self._proc is None:
@@ -309,16 +293,9 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         if len(chunk) > self._cap:
             raise GuaranteeViolation(
                 f"request cost {len(chunk)} exceeds K*f(n) = {self._cap:.1f}")
-        yield chunk
-
-    def access(self, key: int) -> Trace:
-        ops: list[BstOp] = []
-        for burst in self.access_stream(key):
-            ops.extend(burst)
-        return Trace(ops, [len(ops)])
+        return Trace(chunk, [len(chunk)])
 
 
 def online_transform(inner: OnlineBstAlgorithm,
-                     f_bound: Optional[Callable[[int], float]] = None,
-                     d: Optional[float] = None) -> OnlineWorstCaseAlgorithm:
-    return OnlineWorstCaseAlgorithm(inner, f_bound, d)
+                     f_bound: Optional[Callable[[int], float]] = None) -> OnlineWorstCaseAlgorithm:
+    return OnlineWorstCaseAlgorithm(inner, f_bound)

@@ -6,6 +6,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+from deamort import constants
 from deamort.algorithms import make_algorithm
 from deamort.cli import main as cli_main
 from deamort.experiments import VerificationFailure, build_chain, run_experiment
@@ -224,3 +225,15 @@ def test_cli_compare(tmp_path):
     assert out.exit_code == 0
     assert out.output.splitlines()[0].endswith("ratio_vs_first")
 
+
+def test_recalibration_stays_under_the_frozen_ceilings():
+    """``python -m deamort.constants`` measures every calibrated constant;
+    each measurement must sit at or below the ceiling it was frozen from."""
+    ceiling = {"C_SCAN": "C_SCAN", "C_BAL": "C_BAL", "C_SIM": "C_SIM",
+               "C_AM[cherry]": "C_AM", "C_AM[chocolate]": "C_AM",
+               "C_WC[cherry]": "C_WC", "C_WC[chocolate]": "C_WC",
+               "SIM_MAX_DEPTH_RATIO": "INTERLEAVE_C"}
+    measured = constants.calibrate()
+    assert set(measured) == set(ceiling)
+    for name, value in measured.items():
+        assert 0 < value <= constants.FROZEN[ceiling[name]], (name, value)

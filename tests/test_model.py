@@ -204,6 +204,16 @@ def test_verify_supplied_boundaries_cost_sums():
     assert rep.per_access_cost == [1, 2]
 
 
+def test_verify_rejects_a_boundary_count_that_differs_from_the_sequence():
+    t = ModelTree.new_tree(3, "balanced")
+    tr = Trace.from_text("L P R #")
+    for rep in (verify_trace(t, tr, [1, 3]), verify_trace(t, tr, [1, 3], boundaries=[3])):
+        assert not rep.valid
+        assert rep.reason == "1 boundaries for 2 accesses"
+    # a trace without boundaries is matched by first visits
+    assert verify_trace(t, Trace.from_text("L P R"), [1, 3]).valid
+
+
 def test_verify_repeated_key_zero_cost():
     t = ModelTree.new_tree(3, "balanced")
     tr = Trace([], boundaries=[0, 0])
@@ -231,9 +241,22 @@ def test_tree_text_roundtrip():
     assert ModelTree.from_text(t2.to_text()).to_text() == t2.to_text()
 
 
+def _scan_height(t: ModelTree) -> int:
+    """Height by a depth-first scan of the links, independent of ``hgt``."""
+    best = 0
+    stack = [(t.root, 0)]
+    while stack:
+        v, d = stack.pop()
+        best = max(best, d)
+        for c in (t.left[v], t.right[v]):
+            if c:
+                stack.append((c, d + 1))
+    return best
+
+
 def test_height_tracking_matches_scan():
     rng = random.Random(3)
-    t = ModelTree.new_tree(17, "balanced", track_height=True)
+    t = ModelTree.new_tree(17, "balanced")
     for _ in range(300):
         legal = []
         if t.left[t.finger]:
@@ -249,9 +272,7 @@ def test_height_tracking_matches_scan():
         fresh._recompute_heights()
         assert t.hgt == fresh.hgt
         assert h == t.hgt[t.root]
-    plain = t.copy()
-    plain._track_height = False
-    assert t.height() == plain.height()
+    assert t.height() == _scan_height(t)
 
 
 _STEP = st.one_of(
@@ -266,9 +287,7 @@ def _check_settled(t: ModelTree) -> None:
     fresh = t.copy()
     fresh._recompute_heights()
     assert t.hgt == fresh.hgt
-    plain = t.copy()
-    plain._track_height = False
-    assert h == plain.height()
+    assert h == _scan_height(t)
 
 
 @given(n=st.integers(1, 24), shape=st.sampled_from(["balanced", "linear-right", "linear-left"]),
@@ -276,7 +295,7 @@ def _check_settled(t: ModelTree) -> None:
 @settings(max_examples=150, deadline=None)
 def test_deferred_heights_match_full_recompute(n, shape, seed, steps):
     rng = random.Random(seed)
-    t = ModelTree.new_tree(n, shape, track_height=True)
+    t = ModelTree.new_tree(n, shape)
     for kind, arg in steps:
         if kind == "ops":
             if n > 1:
@@ -291,7 +310,7 @@ def test_deferred_heights_match_full_recompute(n, shape, seed, steps):
 
 def test_deferred_heights_overflow_drops_the_stale_list():
     n = 9
-    t = ModelTree.new_tree(n, "linear-right", track_height=True)
+    t = ModelTree.new_tree(n, "linear-right")
     assert t.height() == n - 1
     splay = SplayAlgorithm(t)
     splay.access(n)  # the old path is all n nodes
@@ -300,7 +319,7 @@ def test_deferred_heights_overflow_drops_the_stale_list():
     assert t._stale is None  # past n entries: heights unknown
     _check_settled(t)
     assert t._stale == []
-    # an untracked tree notes nothing
+    # a tree whose height was never read notes nothing
     u = ModelTree.new_tree(n, "linear-right")
     SplayAlgorithm(u).access(n)
     assert u._stale is None

@@ -13,7 +13,6 @@ from deamort.simulation import (
     decode_virtual,
     dump_state,
     heavy_path_decompose,
-    simulate_access,
     wrap,
 )
 
@@ -178,17 +177,6 @@ def test_wrap_online_prefix_property():
             ops.extend(w.access(k).ops)
         assert ops[: len(prev)] == prev
         prev = ops
-
-
-def test_simulate_access_function():
-    t = ModelTree.new_tree(5, "balanced")
-    vt = VirtualTree(t)
-    sim = Simulator(vt)
-    inner = StaticAlgorithm(t.copy())
-    tr = inner.access(1)
-    phys = simulate_access(sim, tr)
-    assert phys.cost >= tr.cost
-    assert sim.pt.finger == sim.pt.root
 
 
 def test_weighted_wrap_depth_everywhere():
