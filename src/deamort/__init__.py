@@ -7,7 +7,6 @@ from .poptart import PopTartLeaf, make_poptart
 from .simulation import VirtualTree, heavy_path_decompose, wrap
 from .transforms import (
     GuaranteeViolation,
-    InterleaveConfig,
     WorkQueue,
     interleave_transform,
     online_transform,
@@ -18,7 +17,6 @@ __all__ = [
     "BstOp",
     "GuaranteeViolation",
     "IllegalOpError",
-    "InterleaveConfig",
     "ModelTree",
     "OnlineBstAlgorithm",
     "PopTartLeaf",

@@ -170,6 +170,7 @@ class ModelTree:
         if not root:
             raise MalformedTreeError(1, "no root")
         self._link(left, right, parent, root)
+        self._check_structure()
 
     @classmethod
     def from_links(cls, left: list[int], right: list[int], parent: list[int],
@@ -178,6 +179,7 @@ class ModelTree:
         finger at ``root``. The links must encode a BST over 1..n."""
         t = cls.__new__(cls)
         t._link(left, right, parent, root)
+        t._check_structure()
         return t
 
     def _link(self, left: list[int], right: list[int], parent: list[int], root: int) -> None:
@@ -190,7 +192,6 @@ class ModelTree:
         self.hgt = [0] * len(left)
         # stale nodes since the last height(); None while the heights are unknown
         self._stale: Optional[list[int]] = None
-        self._check_structure()
 
     @classmethod
     def new_tree(cls, n: int, shape: ShapeSpec = "balanced") -> "ModelTree":
@@ -355,7 +356,8 @@ class ModelTree:
     def copy(self) -> "ModelTree":
         """An independent tree of the same shape and finger; its heights
         start unknown."""
-        t = ModelTree.from_links(self.left[:], self.right[:], self.parent[:], self.root)
+        t = ModelTree.__new__(ModelTree)
+        t._link(self.left[:], self.right[:], self.parent[:], self.root)
         t.finger = self.finger
         return t
 

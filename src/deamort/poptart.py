@@ -51,10 +51,6 @@ class PopTartEmptyError(PopTartError):
     pass
 
 
-class KeyOrderError(PopTartError):
-    pass
-
-
 class PopTartStructureError(PopTartError):
     """The layer bookkeeping disagrees with the tree it describes."""
 
@@ -227,8 +223,6 @@ class _PopTartBase:
     read the side lists chosen at construction.
     """
 
-    kind = "base"
-
     def __init__(self, mirror: bool = False, leaf_score_coef: float = 0.0, engine=None):
         self.embedded = engine is not None
         if engine is None:
@@ -250,18 +244,14 @@ class _PopTartBase:
         """v's stack-side child: the rest of the stack below v."""
         return self._sside[v]
 
-    def push(self, leaf: PopTartLeaf, key: Optional[int] = None) -> Trace:
+    def push(self, leaf: PopTartLeaf) -> Trace:
         """Standalone push: the element arrives as the parent of the stack
         root, its leaf in the payload slot, then the stack rebalances."""
         eng = self.engine
         old = eng.root
-        if key is None:
-            eng.keys_used += 1
-            # even element keys; payload leaves take the odd neighbor
-            key = 2 * eng.keys_used if self.mirror else -2 * eng.keys_used
-        elif old and (key <= eng.key[old] if self.mirror else key >= eng.key[old]):
-            raise KeyOrderError(
-                f"push key {key} breaks {'increasing' if self.mirror else 'decreasing'} order")
+        eng.keys_used += 1
+        # even element keys; payload leaves take the odd neighbor
+        key = 2 * eng.keys_used if self.mirror else -2 * eng.keys_used
         e = eng.new_node(key, 1.0)
         lf = eng.new_node(key + (1 if self.mirror else -1), leaf.weight, leaf)
         self._pside[e] = lf
@@ -330,8 +320,6 @@ class _PopTartBase:
 class VanillaPopTart(_PopTartBase):
     """No rebalancing; push and pop cost O(1) each."""
 
-    kind = "vanilla"
-
     def __init__(self, mirror: bool = False):
         super().__init__(mirror, leaf_score_coef=1.0)
         self.elems: list[int] = []
@@ -367,8 +355,6 @@ class VanillaPopTart(_PopTartBase):
 
 class CherryPopTart(_PopTartBase):
     """Layered spine with perfect 2^i-leaf crumbs; unit-weight stack."""
-
-    kind = "cherry"
 
     def __init__(self, mirror: bool = False):
         super().__init__(mirror, leaf_score_coef=0.0)
@@ -449,8 +435,6 @@ class ChocolatePopTart(_PopTartBase):
     (0); an embedded stack may sit on top of an opaque subtree whose weight
     counts as the bottom of the topmost layer's icing.
     """
-
-    kind = "chocolate"
 
     def __init__(self, mirror: bool = False, engine=None):
         super().__init__(mirror, leaf_score_coef=7.0, engine=engine)
@@ -708,7 +692,7 @@ def _check_inorder(pt: _PopTartBase, rep: InvariantReport) -> None:
     if pt.embedded:
         return  # the embedding tree validates its own symmetric order
     keys = pt.engine.in_order_keys()
-    if keys != sorted(keys):
+    if any(a >= b for a, b in zip(keys, keys[1:])):
         rep.fail("symmetric key order broken")
 
 

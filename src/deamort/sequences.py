@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 KINDS = ("sequential", "uniform", "zipf", "working-set", "bit-reversal")
 
@@ -56,24 +58,10 @@ def gen_sequence(spec: SequenceSpec) -> list[int]:
     if spec.kind == "uniform":
         return [rng.randint(1, n) for _ in range(m)]
     if spec.kind == "zipf":
-        weights = [1.0 / (k ** spec.alpha) for k in range(1, n + 1)]
-        cum = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            cum.append(acc)
-        out = []
-        for _ in range(m):
-            x = rng.random() * acc
-            lo, hi = 0, n - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cum[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out.append(lo + 1)
-        return out
+        cum = list(accumulate(1.0 / (k ** spec.alpha) for k in range(1, n + 1)))
+        total = cum[-1]
+        # the leftmost key whose cumulative weight reaches x <= total
+        return [bisect_left(cum, rng.random() * total) + 1 for _ in range(m)]
     if spec.kind == "working-set":
         window: list[int] = []
         out = []

@@ -84,19 +84,6 @@ class VirtualTree:
     def total_weight(self) -> float:
         return self.wsub[self.root]
 
-    def apply_move(self, op: BstOp) -> int:
-        f = self.finger
-        if op == _L:
-            t = self.left[f]
-        elif op == _R:
-            t = self.right[f]
-        else:
-            t = self.parent[f]
-        if not t:
-            raise IllegalOpError(op, f, "no such neighbor in the virtual tree")
-        self.finger = t
-        return t
-
     def apply_rotation(self) -> int:
         """Rotate the virtual finger over its parent; returns the old parent."""
         x = self.finger

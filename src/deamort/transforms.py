@@ -19,14 +19,18 @@ the request with a direct search and enqueue the key.
 
 Both transforms pause the wrapped layer between the bursts of its
 ``access_stream``, but serve whole accesses themselves: no chain puts one
-transform under another.
+transform under another. Neither takes options: the depth pledge c
+(``INTERLEAVE_C``), d (``ONLINE_D``) and K (``ONLINE_K``) come from
+``constants.FROZEN``, f(n) is log2(n), and each transform computes its
+budget and cap once, when it is built. A stream that ends without the finger
+on its key raises :class:`GuaranteeViolation` in both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .algorithms import OnlineBstAlgorithm
 from .constants import FROZEN
@@ -37,23 +41,6 @@ _P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 class GuaranteeViolation(RuntimeError):
     """A hard worst-case guard tripped; the message names the promise."""
-
-
-@dataclass
-class InterleaveConfig:
-    """c such that the input algorithm keeps every physical depth at or
-    below c*log2(n). The forced-access trigger and the per-access guard are
-    both expressed through it."""
-
-    c: float = FROZEN["INTERLEAVE_C"]
-
-    def budget(self, n: int) -> int:
-        return max(1, math.floor(self.c * math.log2(max(n, 2))))
-
-    def per_access_cap(self, n: int) -> float:
-        if n <= 1:
-            return 0.0
-        return 3.0 * self.c * math.log2(n)
 
 
 class InterleavedAlgorithm(OnlineBstAlgorithm):
@@ -68,11 +55,13 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
     at most one tree depth each way.
     """
 
-    def __init__(self, inner: OnlineBstAlgorithm, cfg: Optional[InterleaveConfig] = None):
+    def __init__(self, inner: OnlineBstAlgorithm):
         self.inner = inner
-        self.cfg = cfg if cfg is not None else InterleaveConfig()
         self.tree = inner.tree
         self.n = inner.n
+        log_n = math.log2(max(self.n, 2))
+        self._budget = max(1, math.floor(FROZEN["INTERLEAVE_C"] * log_n))
+        self._cap = 3.0 * FROZEN["INTERLEAVE_C"] * log_n
         self._since_boundary = 0
         self._segment = 0
         self._gen: Optional[Iterator[list[BstOp]]] = None
@@ -85,11 +74,10 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
     def _close_segment(self) -> None:
         if self._segment > self.max_segment:
             self.max_segment = self._segment
-        cap = self.cfg.per_access_cap(self.n)
-        if self._segment > cap:
+        if self._segment > self._cap:
             raise GuaranteeViolation(
-                f"access segment of {self._segment} ops exceeds 3*c*log2(n) = {cap:.1f}; "
-                f"the input algorithm broke its depth pledge c = {self.cfg.c}")
+                f"access segment of {self._segment} ops exceeds 3*c*log2(n) = {self._cap:.1f}; "
+                f"the input algorithm broke its depth pledge c = {FROZEN['INTERLEAVE_C']}")
         self._segment = 0
         self._since_boundary = 0
 
@@ -99,8 +87,7 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self._unstarted.append(key)
         ops: list[BstOp] = []
         while t.finger != key:
-            if (t.finger == t.root
-                    and self._since_boundary >= self.cfg.budget(self.n)):
+            if t.finger == t.root and self._since_boundary >= self._budget:
                 # forced round trip; the walk back up opens the next segment
                 down = descend(t.left, t.right, t.root, key)[1]
                 self._segment += len(down)
@@ -111,9 +98,9 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
                 return Trace(ops + down + [_P] * len(down), [len(ops) + len(down)])
             if self._gen is None:
                 if not self._unstarted:
-                    # stream fully drained without the finger resting on the
-                    # key: the last burst still realized it
-                    break
+                    raise GuaranteeViolation(
+                        f"the input algorithm's stream for {key} ended with the "
+                        f"finger on {t.finger}, not on the key")
                 self._gen = self.inner.access_stream(self._unstarted.pop(0))
             burst = next(self._gen, None)
             if burst is None:
@@ -128,10 +115,8 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         return Trace(ops, [len(ops)])
 
 
-def interleave_transform(
-    inner: OnlineBstAlgorithm, cfg: Optional[InterleaveConfig] = None
-) -> InterleavedAlgorithm:
-    return InterleavedAlgorithm(inner, cfg)
+def interleave_transform(inner: OnlineBstAlgorithm) -> InterleavedAlgorithm:
+    return InterleavedAlgorithm(inner)
 
 
 class WorkQueue:
@@ -214,13 +199,11 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
     """Caps the work spent on every request at K*f(n), K the frozen
     ``ONLINE_K``."""
 
-    def __init__(self, inner: OnlineBstAlgorithm,
-                 f_bound: Optional[Callable[[int], float]] = None):
+    def __init__(self, inner: OnlineBstAlgorithm):
         self.inner = inner
         self.tree = inner.tree
         self.n = inner.n
-        f = f_bound if f_bound is not None else (lambda n: math.log2(max(n, 2)))
-        self.f_n = max(1.0, float(f(self.n)))
+        self.f_n = math.log2(max(self.n, 2))
         self.queue = WorkQueue(self.tree)
         self.counters = OnlineCounters()
         self._proc: Optional[Iterator[list[BstOp]]] = None  # oldest key's suspended stream
@@ -273,6 +256,10 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
             ran += "B"
             gen = self.inner.access_stream(key)
             _, finished = self._pull(gen, self.f_n, chunk)
+            if finished and t.finger != key:
+                raise GuaranteeViolation(
+                    f"the input algorithm's stream for {key} ended with the "
+                    f"finger on {t.finger}, not on the key")
         if not finished:
             ran += "C"
             chunk.extend(q.enqueue(key))
@@ -296,6 +283,5 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         return Trace(chunk, [len(chunk)])
 
 
-def online_transform(inner: OnlineBstAlgorithm,
-                     f_bound: Optional[Callable[[int], float]] = None) -> OnlineWorstCaseAlgorithm:
-    return OnlineWorstCaseAlgorithm(inner, f_bound)
+def online_transform(inner: OnlineBstAlgorithm) -> OnlineWorstCaseAlgorithm:
+    return OnlineWorstCaseAlgorithm(inner)

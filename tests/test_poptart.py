@@ -6,7 +6,6 @@ import pytest
 from deamort.poptart import (
     CherryPopTart,
     ChocolatePopTart,
-    KeyOrderError,
     PopTartEmptyError,
     PopTartLeaf,
     VanillaPopTart,
@@ -35,23 +34,19 @@ def test_pop_empty_errors():
             make_poptart(kind).pop()
 
 
-def test_key_order_violation_rejected():
-    pt = make_poptart("chocolate")
-    pt.push(_leaf(1), key=-10)
-    with pytest.raises(KeyOrderError):
-        pt.push(_leaf(2), key=-10)
-    with pytest.raises(KeyOrderError):
-        pt.push(_leaf(3), key=0)
-
-
-def test_mirror_key_order():
-    pt = make_poptart("chocolate", mirror=True)
-    pt.push(_leaf(1), key=10)
-    pt.push(_leaf(2), key=20)
-    with pytest.raises(KeyOrderError):
-        pt.push(_leaf(3), key=5)
-    rec, _ = pt.pop()
-    assert rec.id == 2
+@pytest.mark.parametrize("kind", ["vanilla", "cherry", "chocolate"])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_duplicate_key_fails_the_audit(kind, mirror):
+    pt = make_poptart(kind, mirror=mirror)
+    for i in range(5):
+        pt.push(_leaf(i))
+    assert pt.check_invariants().ok
+    eng = pt.engine
+    top = eng.root
+    eng.key[pt.pchild(top)] = eng.key[top]  # the top leaf now ties its parent
+    rep = pt.check_invariants()
+    assert not rep.ok
+    assert "symmetric key order broken" in rep.errors
 
 
 @pytest.mark.parametrize("kind", ["vanilla", "cherry", "chocolate"])
@@ -183,9 +178,9 @@ def test_vanilla_depth_bound_doubling_weights():
 
 def test_vanilla_spec_weights():
     pt = VanillaPopTart()
-    pt.push(_leaf(0, 1.0), key=3)
-    pt.push(_leaf(1, 2.0), key=2)
-    pt.push(_leaf(2, 4.0), key=1)
+    pt.push(_leaf(0, 1.0))
+    pt.push(_leaf(1, 2.0))
+    pt.push(_leaf(2, 4.0))
     eng = pt.engine
     depths = {eng.weight[lf]: eng.leaf_depth(lf) for lf in eng.leaf_rec}
     assert depths[4.0] == 1

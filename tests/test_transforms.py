@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from deamort.algorithms import SplayAlgorithm, StaticAlgorithm
+from deamort.algorithms import OnlineBstAlgorithm, SplayAlgorithm, StaticAlgorithm
+from deamort.constants import FROZEN
 from deamort.model import BstOp, ModelTree, Trace, verify_trace
 from deamort.simulation import wrap
 from deamort.transforms import (
     GuaranteeViolation,
-    InterleaveConfig,
     InterleavedAlgorithm,
     OnlineWorstCaseAlgorithm,
     WorkQueue,
@@ -24,7 +24,7 @@ def test_interleave_identity_on_immediate_access():
     n = 7
     plain = StaticAlgorithm(ModelTree.new_tree(n, "balanced"))
     inner = StaticAlgorithm(ModelTree.new_tree(n, "balanced"))
-    a2 = interleave_transform(inner, InterleaveConfig(c=27))
+    a2 = interleave_transform(inner)
     for k in (1, 5, 3, 7, 2):
         want = plain.access(k)
         got = a2.access(k)
@@ -44,7 +44,7 @@ def test_interleave_hard_cap_and_factor():
         k = rng.randint(1, n) if i % 4 else (i % n) + 1
         seq.append(k)
         full.extend(a2.access(k))
-    cap = 3 * a2.cfg.c * math.log2(n)
+    cap = 3 * FROZEN["INTERLEAVE_C"] * math.log2(n)
     assert a2.max_segment <= cap
     assert a2.total_ops <= 3 * a2.original_ops
     rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
@@ -61,18 +61,53 @@ def test_interleave_forces_overdue_accesses():
     a2 = interleave_transform(w)
     for k in list(range(1, n + 1)) + list(range(n, 0, -1)):
         a2.access(k)
-    assert a2.max_segment <= 3 * a2.cfg.c * math.log2(n)
+    assert a2.max_segment <= 3 * FROZEN["INTERLEAVE_C"] * math.log2(n)
 
 
 def test_interleave_guard_trips_on_false_pledge():
-    # claiming a tiny c makes the budget unreachably small; the guard must
-    # fire rather than let an oversized segment pass silently
-    n = 64
-    w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right")))
-    a2 = interleave_transform(w, InterleaveConfig(c=0.05))
-    with pytest.raises(GuaranteeViolation):
-        for k in range(1, n + 1):
-            a2.access(k)
+    # a static walk on a linear tree breaks the depth pledge: its one burst
+    # to key n is n-1 = 1023 ops, over the cap 3*27*log2(1024) = 810. The
+    # guard must fire rather than let the oversized segment pass silently
+    a2 = interleave_transform(StaticAlgorithm(ModelTree.new_tree(1024, "linear-right")))
+    with pytest.raises(GuaranteeViolation, match="segment of 1023 ops exceeds"):
+        a2.access(1024)
+
+
+class _MissesKey(OnlineBstAlgorithm):
+    """A stream that ends without ever moving the finger to the key."""
+
+    def access_stream(self, key):
+        yield []
+
+
+class _NeverFinishes(OnlineBstAlgorithm):
+    """A stream that steps down and back up from the root forever."""
+
+    def access_stream(self, key):
+        t = self.tree
+        while True:
+            t.apply_op(BstOp.LEFT)
+            t.apply_op(BstOp.PARENT)
+            yield [BstOp.LEFT, BstOp.PARENT]
+
+
+@pytest.mark.parametrize("transform", [interleave_transform, online_transform],
+                         ids=["interleave", "online"])
+def test_stream_that_never_reaches_the_key_trips(transform):
+    alg = transform(_MissesKey(ModelTree.new_tree(7, "balanced")))
+    with pytest.raises(GuaranteeViolation, match="ended with the finger on 4, not on the key"):
+        alg.access(3)
+
+
+def test_online_stream_that_never_finishes_overflows_the_queue():
+    # every request enqueues its key; the request after n of them overflows
+    n = 16
+    a3 = online_transform(_NeverFinishes(ModelTree.new_tree(n, "balanced")))
+    for k in range(1, n + 1):
+        a3.access(k)
+    assert len(a3.queue) == n
+    with pytest.raises(GuaranteeViolation, match="queue overflow"):
+        a3.access(1)
 
 
 def test_workqueue_fifo_and_cost():
@@ -153,15 +188,14 @@ def test_online_worst_case_run():
 
 
 def test_online_fast_input_never_queues():
-    # an input already answering within f(n) keeps the queue empty
+    # every walk is shorter than f(n) = log2(32), so routine B answers each
+    # request alone and the queue stays empty
     n = 32
-    w = wrap(StaticAlgorithm(ModelTree.new_tree(n, "balanced")))
-    a3 = online_transform(w, f_bound=lambda n: 200.0 * math.log2(n))
-    for k in (5, 1, 30, 16, 5, 9):
+    a3 = online_transform(StaticAlgorithm(ModelTree.new_tree(n, "balanced")))
+    for k in (16, 8, 4, 8, 16, 24, 28, 24):
         a3.access(k)
-    assert a3.counters.max_queue <= 1
-    assert set(a3.counters.actions) <= {"B", "BC", "AB", "ABC", "AC"}
-    assert a3.counters.actions.get("B", 0) >= 5
+    assert a3.counters.actions == {"B": 8}
+    assert a3.counters.max_queue == 0
 
 
 def test_online_charging_against_executed_work():
