@@ -4,7 +4,7 @@ transforms for self-adjusting search trees."""
 from .algorithms import ALGORITHMS, OnlineBstAlgorithm, make_algorithm
 from .model import BstOp, IllegalOpError, ModelTree, Trace, VerifyReport, verify_trace
 from .poptart import PopTartLeaf, make_poptart
-from .simulation import VirtualTree, heavy_path_decompose, wrap
+from .simulation import VirtualTree, wrap
 from .transforms import (
     GuaranteeViolation,
     WorkQueue,
@@ -24,7 +24,6 @@ __all__ = [
     "VerifyReport",
     "VirtualTree",
     "WorkQueue",
-    "heavy_path_decompose",
     "interleave_transform",
     "make_algorithm",
     "make_poptart",

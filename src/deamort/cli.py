@@ -60,8 +60,7 @@ def gen(seq, n, m, seed, out):
 def run(algo, chain, seq, n, m, seed, shape, lazy, fmt, out):
     """Run one experiment; the trace is verified before reporting."""
     spec = _spec(seq, n, m, seed)
-    report = run_experiment(algo, chain, spec, shape=shape, lazy=lazy,
-                            compute_opt=(n <= 6 and m <= 6))
+    report = run_experiment(algo, chain, spec, shape=shape, lazy=lazy)
     _write(report.emit(fmt), out)
 
 

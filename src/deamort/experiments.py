@@ -44,7 +44,7 @@ def build_chain(algo_id: str, chain: str, tree: ModelTree,
 
 def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
                    shape: ShapeSpec = "balanced", weights=None,
-                   lazy: bool = False, compute_opt: bool = False) -> CostReport:
+                   lazy: bool = False) -> CostReport:
     seq = gen_sequence(spec)
     alg = build_chain(algo_id, chain, ModelTree.new_tree(spec.n, shape), weights, lazy)
     t0 = alg.tree.copy()
@@ -74,7 +74,7 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
         baseline_total = sum(base_alg.access(k).cost for k in seq)
     opt_cost = None
     ratio_opt = None
-    if compute_opt and spec.n <= OPT_MAX_N and len(seq) <= OPT_MAX_M:
+    if spec.n <= OPT_MAX_N and len(seq) <= OPT_MAX_M:
         opt_cost = opt_bruteforce(t0, seq)
         ratio_opt = (full.cost / opt_cost) if opt_cost else None
     counters = getattr(alg, "counters", None)

@@ -542,12 +542,9 @@ def verify_trace(
             b = boundaries[i]
             if b < prev or b > len(trace.ops):
                 return VerifyReport(False, None, [], [], reason=f"boundary {b} out of order at access {i}")
-            hit = -1
-            for pos in range(prev, b + 1):
-                if visits[pos] == key:
-                    hit = pos
-                    break
-            if hit < 0:
+            try:
+                hit = visits.index(key, prev, b + 1)
+            except ValueError:
                 return VerifyReport(
                     False, None, [], [], reason=f"key {key} (access {i}) not visited in ops {prev}..{b}")
             first_seen.append(hit)
@@ -559,9 +556,9 @@ def verify_trace(
     pos = 0
     first_seen = []
     for i, key in enumerate(s):
-        while pos <= len(trace.ops) and visits[pos] != key:
-            pos += 1
-        if pos > len(trace.ops):
+        try:
+            pos = visits.index(key, pos)
+        except ValueError:
             return VerifyReport(False, None, [], [], reason=f"key {key} (access {i}) never visited")
         first_seen.append(pos)
     costs = _segment_costs(first_seen, len(trace.ops))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Sequence
 
-from .model import BstOp, ModelTree
+from .model import BstOp, IllegalOpError, ModelTree
 
 _OPS = (BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE)
 
@@ -78,7 +78,7 @@ def opt_bruteforce(t0: ModelTree, s: Sequence[int]) -> int:
             t = tree.copy()
             try:
                 t.apply_op(op)
-            except Exception:
+            except IllegalOpError:
                 continue
             prog = _advance(progress, t.finger, s)
             if prog == m:
@@ -109,7 +109,7 @@ def enumerate_realizations(t0: ModelTree, s: Sequence[int], max_len: int) -> int
             t = tree.copy()
             try:
                 t.apply_op(op)
-            except Exception:
+            except IllegalOpError:
                 continue
             sub = dfs(t, progress, budget - 1)
             if sub >= 0 and (best < 0 or sub + 1 < best):

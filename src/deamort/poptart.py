@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from .model import BstOp, IllegalOpError, Trace, rotate_edge, walk_ops
 
@@ -57,11 +57,10 @@ class PopTartStructureError(PopTartError):
 
 @dataclass
 class PopTartLeaf:
-    """A pushed stack entry: an id, a positive weight, an opaque payload."""
+    """A pushed stack entry: an id and a positive weight."""
 
     id: int
     weight: float = 1.0
-    payload: Any = None
 
     def __post_init__(self) -> None:
         if not self.weight > 0:

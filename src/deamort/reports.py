@@ -54,9 +54,7 @@ def cost_histogram(costs: list[int]) -> dict[str, int]:
     """Power-of-two bucketed per-access cost counts."""
     out: dict[str, int] = {}
     for c in costs:
-        lo = 1
-        while lo * 2 <= max(c, 1):
-            lo *= 2
+        lo = 1 << max(c.bit_length() - 1, 0)
         label = f"{lo}-{2 * lo - 1}" if c > 0 else "0"
         out[label] = out.get(label, 0) + 1
     return out

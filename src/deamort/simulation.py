@@ -17,11 +17,12 @@ ends each burst at the physical root and every node's physical depth stays
 logarithmic in the weight ratio. Virtual bookkeeping is free; only physical
 operations are emitted and counted.
 
-In lazy mode the physical tree starts as the original tree, and each subtree
-stays in its original shape until the finger first enters it. The region is
-then rebuilt by the same block builder the eager layout uses, run silently on
-the live arrays to find the target shape, and rotated into place with
-counted operations, leaving its hanging subtrees raw in turn.
+Both layouts start from a copy of the original tree's links. The eager
+layout builds every block over them at construction. In lazy mode each
+subtree stays in its original shape until the finger first enters it; the
+region is then rebuilt by the same block builder, run silently on the live
+arrays to find the target shape, and rotated into place with counted
+operations, leaving its hanging subtrees raw in turn.
 """
 
 from __future__ import annotations
@@ -102,28 +103,6 @@ class VirtualTree:
         return p
 
 
-def heavy_path_decompose(vt: VirtualTree) -> dict:
-    """Solid child per node and the heavy paths they induce."""
-    paths = []
-    seen = [False] * (vt.n + 1)
-    stack = [vt.root]
-    while stack:
-        v = stack.pop()
-        if seen[v]:
-            continue
-        path = []
-        u = v
-        while u:
-            seen[u] = True
-            path.append(u)
-            for c in (vt.left[u], vt.right[u]):
-                if c and c != vt.solid[u]:
-                    stack.append(c)
-            u = vt.solid[u]
-        paths.append(path)
-    return {"solid": vt.solid[:], "paths": paths}
-
-
 @dataclass
 class _BlockCtl:
     L: ChocolatePopTart
@@ -163,17 +142,13 @@ class Simulator:
         n = vt.n
         self.weight = vt.w
         self.key = range(n + 1)
-        if lazy:
-            # the physical tree starts as the original one
-            self.left = vt.left[:]
-            self.right = vt.right[:]
-            self.parent = vt.parent[:]
-            self.wsub = vt.wsub[:]
-        else:
-            self.left = [0] * (n + 1)
-            self.right = [0] * (n + 1)
-            self.parent = [0] * (n + 1)
-            self.wsub = [0.0] * (n + 1)
+        self._lazy = lazy
+        # both layouts start from the original links; _hang builds the eager
+        # blocks over them below, lazy ones are built on first entry
+        self.left = vt.left[:]
+        self.right = vt.right[:]
+        self.parent = vt.parent[:]
+        self.wsub = vt.wsub[:]
         self.blocks: dict[int, _BlockCtl] = {}
         self.entry: dict[int, int] = {}
         self.next_bit: dict[int, bool] = {}
@@ -188,7 +163,7 @@ class Simulator:
         f = vt.finger
         for c in (vt.left[f], vt.right[f]):
             if c:
-                x = self._hang(c, lazy)
+                x = self._hang(c)
                 if c < f:
                     self.left[f] = x
                 else:
@@ -209,23 +184,21 @@ class Simulator:
         self.entry[x] = entry
         return ctl
 
-    def _hang(self, c: int, lazy: bool) -> int:
+    def _hang(self, c: int) -> int:
         """Lay out virtual subtree c below its holder; returns its physical
         root. Eager layout builds its block form now; lazy layout leaves it
         in its original shape until the finger enters it."""
-        if not lazy:
+        if not self._lazy:
             return self._build_block(c)
         self.raw.add(c)
         self._new_block(c, c)
-        self.wsub[c] = self.vt.wsub[c]
         return c
 
-    def _build_block(self, v: int, lazy: bool = False) -> int:
+    def _build_block(self, v: int) -> int:
         """Assemble the block for virtual subtree v; returns its physical root.
 
-        The links written are exact when v's nodes start unlinked (eager
-        layout) or in v's original shape, where the heavy path ends at a
-        leaf (lazy restructuring)."""
+        v's nodes start in v's original shape, where the heavy path ends at
+        a leaf, so the links written are exact."""
         vt = self.vt
         path = [v]
         while vt.solid[path[-1]]:
@@ -238,7 +211,7 @@ class Simulator:
             succ = path[i + 1]
             self.next_bit[u] = succ < x
             hang = vt.left[u] if vt.right[u] == succ else vt.right[u]
-            hx = self._hang(hang, lazy) if hang else 0
+            hx = self._hang(hang) if hang else 0
             if u < x:
                 old = self.left[x]
                 self.left[u] = hx
@@ -411,20 +384,15 @@ class Simulator:
         if not s:
             self._new_block(f, f)
             return
-        if s == vt.right[f]:
-            xT = pt.right[f]
-            if xT in self.raw:
-                self._restructure(xT)
-                xT = pt.right[f]
-            self.rotate_up(xT)
-            self.blocks[xT].L.push_arrived(f)
-        else:
-            xT = pt.left[f]
-            if xT in self.raw:
-                self._restructure(xT)
-                xT = pt.left[f]
-            self.rotate_up(xT)
-            self.blocks[xT].R.push_arrived(f)
+        on_right = s == vt.right[f]
+        links = pt.right if on_right else pt.left
+        xT = links[f]
+        if xT in self.raw:
+            self._restructure(xT)
+            xT = links[f]
+        self.rotate_up(xT)
+        ctl = self.blocks[xT]
+        (ctl.L if on_right else ctl.R).push_arrived(f)
         self.next_bit[f] = self.entry[xT] < xT
         self.entry[xT] = f
 
@@ -472,7 +440,7 @@ class Simulator:
         hangs = [h for u in path for h in (vt.left[u], vt.right[u]) if h and h != vt.solid[u]]
         saved = [(v, left[v], right[v], parent[v], wsub[v]) for v in path + hangs]
         self._building = True
-        x = self._build_block(c, lazy=True)
+        x = self._build_block(c)
         self._building = False
         target = {u: (right[u], left[u]) for u in path}  # stacked so left is shaped first
         for v, l, r, p, w in saved:

@@ -127,7 +127,6 @@ class WorkQueue:
         self.cells: dict[int, tuple[int, int]] = {}  # host -> (queued key, next host)
         self.head = 0
         self.tail = 0
-        self.max_len = 0
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -166,8 +165,6 @@ class WorkQueue:
         self.tail = host
         if not self.head:
             self.head = host
-        if len(self.cells) > self.max_len:
-            self.max_len = len(self.cells)
         return ops
 
     def front(self) -> int:
@@ -273,7 +270,8 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
             if gen is not None:
                 self._proc = gen  # the request just enqueued is the oldest
         self.counters.actions[ran] = self.counters.actions.get(ran, 0) + 1
-        self.counters.max_queue = max(self.counters.max_queue, q.max_len)
+        # routine A only dequeues and routine C enqueues last: the queue is longest now
+        self.counters.max_queue = max(self.counters.max_queue, len(q))
         self.counters.total_ops += len(chunk)
         if len(chunk) > self.counters.max_access_ops:
             self.counters.max_access_ops = len(chunk)

@@ -204,7 +204,7 @@ def test_criterion_6_interleave_guarantees():
             assert rep.valid, rep.reason
             assert max(rep.per_access_cost) <= cap
             assert a2.max_segment <= cap
-            assert a2.total_ops <= 3 * a2.original_ops
+            assert a2.total_ops <= FROZEN["INTERLEAVE_FACTOR"] * a2.original_ops
             worst_ratio = max(worst_ratio, a2.total_ops / a2.original_ops)
     _report(6, True,
             f"every access segment within 3*c*log2(n) (c={FROZEN['INTERLEAVE_C']:g}, "

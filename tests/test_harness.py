@@ -10,7 +10,7 @@ from deamort import constants
 from deamort.algorithms import make_algorithm
 from deamort.cli import main as cli_main
 from deamort.experiments import VerificationFailure, build_chain, run_experiment
-from deamort.model import ModelTree
+from deamort.model import BstOp, ModelTree
 from deamort.optsearch import (
     OptLimitError,
     enumerate_realizations,
@@ -80,6 +80,23 @@ def test_opt_limits_refused():
         opt_bruteforce(ModelTree.new_tree(3, "balanced"), [1] * 7)
 
 
+def test_opt_search_raises_a_failing_op(monkeypatch):
+    # only an illegal op is skipped; any other error is a bug and surfaces
+    apply_op = ModelTree.apply_op
+
+    def broken(self, op):
+        if op == BstOp.ROTATE:
+            raise RuntimeError("boom")
+        apply_op(self, op)
+
+    monkeypatch.setattr(ModelTree, "apply_op", broken)
+    t = ModelTree.new_tree(3, "balanced")
+    with pytest.raises(RuntimeError, match="boom"):
+        opt_bruteforce(t, [1, 3])
+    with pytest.raises(RuntimeError, match="boom"):
+        enumerate_realizations(t, [1, 3], 4)
+
+
 def test_opt_matches_exhaustive_n3():
     for parents in enumerate_shapes(3):
         t = ModelTree.new_tree(3, parents)
@@ -113,7 +130,8 @@ def test_run_experiment_reports():
     assert sum(rep.per_access_histogram.values()) == 200
     rep2 = run_experiment("splay", "wrap", spec)
     assert rep2.total_ops > rep.total_ops
-    assert rep2.max_depth_observed <= 13 * math.log2(32) + 14
+    assert rep2.max_depth_observed <= (constants.FROZEN["SIM_DEPTH_MULT"] * math.log2(32)
+                                       + constants.FROZEN["SIM_DEPTH_ADD"])
     assert rep2.ratio_vs_baseline > 1.0
 
 
@@ -158,7 +176,7 @@ def test_cost_histogram_buckets():
 
 def test_report_includes_opt_on_tiny_instances():
     spec = SequenceSpec("uniform", 3, 3, seed=4)
-    rep = run_experiment("splay", "none", spec, compute_opt=True)
+    rep = run_experiment("splay", "none", spec)
     assert rep.opt_cost is not None
     assert rep.total_ops >= rep.opt_cost
     if rep.opt_cost:

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deamort.algorithms import MoveToRootAlgorithm, SplayAlgorithm, StaticAlgorithm
-from deamort.model import ModelTree, Trace, verify_trace
+from deamort.constants import FROZEN
+from deamort.model import BstOp, ModelTree, Trace, verify_trace
 from deamort.optsearch import enumerate_shapes
 from deamort.simulation import (
     Simulator,
@@ -12,11 +14,10 @@ from deamort.simulation import (
     WrappedAlgorithm,
     decode_virtual,
     dump_state,
-    heavy_path_decompose,
     wrap,
 )
 
-DEPTH_MULT, DEPTH_ADD = 13.0, 14.0
+DEPTH_MULT, DEPTH_ADD = FROZEN["SIM_DEPTH_MULT"], FROZEN["SIM_DEPTH_ADD"]
 
 
 def _vt(n, shape="balanced", weights=None):
@@ -25,8 +26,10 @@ def _vt(n, shape="balanced", weights=None):
 
 def test_heavy_path_linear_right_single_path():
     vt = _vt(4, "linear-right")
-    dec = heavy_path_decompose(vt)
-    assert dec["paths"] == [[1, 2, 3, 4]]
+    path = [vt.root]
+    while vt.solid[path[-1]]:
+        path.append(vt.solid[path[-1]])
+    assert path == [1, 2, 3, 4]
 
 
 def test_heavy_path_tie_goes_left():
@@ -208,8 +211,6 @@ def test_cost_ratio_plateaus():
 
 
 def test_cumulative_cost_invariant():
-    from deamort.constants import FROZEN
-
     rng = random.Random(19)
     n = 64
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right")))
@@ -299,3 +300,45 @@ def test_check_state_reports_a_block_root_that_is_not_a_leaf():
     # the stack holding it now sees an inner node where a payload leaf belongs
     del sim.blocks[victim]
     assert any("crumb" in e for e in sim.check_state())
+
+
+# decimal weights such as {0.1, 0.2, 0.3} are left out until structural
+# decisions use exact arithmetic: float ties still break the icing audit
+_WEIGHTS = {"int": st.integers(1, 3), "exp": st.floats(0, 12).map(math.exp)}
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("kind", ["unit", *_WEIGHTS])
+@given(data=st.data(), n=st.integers(2, 40),
+       shape=st.sampled_from(["balanced", "linear-right", "linear-left"]),
+       picks=st.integers(0, 200).flatmap(
+           lambda m: st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+@settings(max_examples=40, deadline=None)
+def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
+    """Any legal virtual-op stream, fed straight to the simulator, keeps the
+    physical world sound and encodes a plain replay of the same stream."""
+    weights = None
+    if kind in _WEIGHTS:
+        weights = data.draw(st.lists(_WEIGHTS[kind], min_size=n, max_size=n))
+    sim = Simulator(VirtualTree(ModelTree.new_tree(n, shape), weights), lazy=lazy)
+    ref = ModelTree.new_tree(n, shape)
+    t0 = sim.pt.copy()
+    full = Trace()
+    seq = []
+    for pick in picks:
+        f = ref.finger
+        legal = [op for op, c in ((BstOp.LEFT, ref.left[f]), (BstOp.RIGHT, ref.right[f])) if c]
+        if ref.parent[f]:
+            legal += [BstOp.PARENT, BstOp.ROTATE]
+        op = legal[pick % len(legal)]
+        ref.apply_op(op)
+        full.ops += sim.apply_virtual(op)
+        full.boundaries.append(len(full.ops))  # each burst ends on the new finger
+        seq.append(ref.finger)
+        errs = sim.check_state()
+        assert not errs, errs
+        assert decode_virtual(sim) == (ref.left, ref.right, ref.root)
+        assert sim.pt.root == ref.finger
+        assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
+    rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+    assert rep.valid, rep.reason

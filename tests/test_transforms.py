@@ -46,7 +46,7 @@ def test_interleave_hard_cap_and_factor():
         full.extend(a2.access(k))
     cap = 3 * FROZEN["INTERLEAVE_C"] * math.log2(n)
     assert a2.max_segment <= cap
-    assert a2.total_ops <= 3 * a2.original_ops
+    assert a2.total_ops <= FROZEN["INTERLEAVE_FACTOR"] * a2.original_ops
     rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
     assert rep.valid, rep.reason
     for c in rep.per_access_cost:
@@ -113,7 +113,7 @@ def test_online_stream_that_never_finishes_overflows_the_queue():
 def test_workqueue_fifo_and_cost():
     t = ModelTree.new_tree(31, "balanced")
     q = WorkQueue(t)
-    bound = 6 * (math.log2(31) + 1)
+    bound = FROZEN["C_QUEUE"] * (math.log2(31) + 1)
     for k in (4, 9, 2):
         ops = q.enqueue(k)
         assert len(ops) <= bound
