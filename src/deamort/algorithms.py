@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .model import BstOp, ModelTree, Trace, descend, rotate_edge, walk_ops
+from .model import _P, _U, ModelTree, Trace, descend, rotate_edge, walk_ops
 
-_P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 
 class AlgorithmInvariantError(RuntimeError):
@@ -29,12 +28,12 @@ class OnlineBstAlgorithm:
         self.n = tree.n
 
     def access(self, key: int) -> Trace:
-        ops: list[BstOp] = []
+        ops: list[int] = []
         for burst in self.access_stream(key):
             ops.extend(burst)
         return Trace(ops, [len(ops)])
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def access_stream(self, key: int) -> Iterator[list[int]]:
         """Yield op bursts for one access. The tree is mutated as bursts are
         produced; the finger is at the root whenever that is structurally
         guaranteed (see each algorithm)."""
@@ -49,7 +48,7 @@ class _OneBurstAlgorithm(OnlineBstAlgorithm):
     """A reference algorithm: each access is one burst, computed and applied
     to the tree's link arrays by :meth:`serve`."""
 
-    def serve(self, key: int) -> list[BstOp]:
+    def serve(self, key: int) -> list[int]:
         """Apply the access to ``key``; return its ops."""
         raise NotImplementedError
 
@@ -57,14 +56,14 @@ class _OneBurstAlgorithm(OnlineBstAlgorithm):
         ops = self.serve(key)
         return Trace(ops, [len(ops)])
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def access_stream(self, key: int) -> Iterator[list[int]]:
         yield self.serve(key)
 
 
 class StaticAlgorithm(_OneBurstAlgorithm):
     """Walks the finger to the key and leaves the tree untouched."""
 
-    def serve(self, key: int) -> list[BstOp]:
+    def serve(self, key: int) -> list[int]:
         self._require_key(key)
         t = self.tree
         ops = walk_ops(t.left, t.parent, t.finger, key)
@@ -75,7 +74,7 @@ class StaticAlgorithm(_OneBurstAlgorithm):
 class MoveToRootAlgorithm(_OneBurstAlgorithm):
     """Walks to the key, then rotates it to the root with single rotations."""
 
-    def serve(self, key: int) -> list[BstOp]:
+    def serve(self, key: int) -> list[int]:
         self._require_key(key)
         t = self.tree
         left, right, parent = t.left, t.right, t.parent
@@ -101,12 +100,12 @@ class SplayAlgorithm(_OneBurstAlgorithm):
     disjoint edges.
     """
 
-    def serve(self, key: int) -> list[BstOp]:
+    def serve(self, key: int) -> list[int]:
         self._require_key(key)
         t = self.tree
         left, right, parent = t.left, t.right, t.parent
         # splay leaves the finger at the root; walk up defensively otherwise
-        ops: list[BstOp] = []
+        ops: list[int] = []
         v = t.finger
         while parent[v]:
             ops.append(_P)

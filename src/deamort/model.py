@@ -4,9 +4,11 @@ A tree holds the keys 1..n in symmetric order and carries a finger, a
 distinguished current node. Exactly four operations exist, each of cost 1:
 move the finger to its parent, to its left child, or to its right child, or
 rotate the finger's node with its parent. A trace is a recorded operation
-list plus access-boundary markers; replaying a trace against an access
-sequence checks that every requested key was under the finger inside its
-access window.
+list, one byte per operation holding its ``BstOp`` code 0-3, plus
+access-boundary markers. Replaying a trace against an access sequence checks
+that every requested key was under the finger inside its access window; the
+replay holds the finger positions of one window at a time (plus a bounded
+step of ops past it), never one entry per operation of the whole trace.
 
 Keys are dense small integers, so the tree is an arena of parallel arrays
 indexed by key. Absent links are 0. This makes operation application O(1)
@@ -15,7 +17,7 @@ and copying trivial, which the replay and search tools rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence, Union
 
@@ -40,24 +42,35 @@ class BstOp(IntEnum):
             raise ValueError(f"unknown op token {tok!r}") from None
 
 
-_P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
-_TOKEN_OPS = {"P": _P, "L": _L, "R": _R, "U": _U}
+_TOKEN_OPS = {op.token: op for op in BstOp}
+# The op codes as plain ints, which every emitter appends: a bytearray is
+# built from a list of ints about twice as fast as from BstOp members.
+_P, _L, _R, _U = (int(op) for op in BstOp)
 
 # The boundary marker used in the trace text format.
 BOUNDARY_TOKEN = "#"
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Trace:
     """An operation list plus access-boundary positions.
 
-    ``boundaries[i]`` is the number of operations executed at the point where
-    the (i+1)-th access is declared complete. Boundaries are non-decreasing
-    and at most ``len(ops)``. The cost of a trace is its length.
+    ``ops`` is a ``bytearray`` holding one ``BstOp`` code (0-3) per
+    operation; the constructor copies any iterable of ``BstOp`` or ints
+    into a new one. ``boundaries[i]`` is the number of operations executed
+    at the point where the (i+1)-th access is declared complete. Boundaries
+    are non-decreasing and at most ``len(ops)``. The cost of a trace is its
+    length.
     """
 
-    ops: list[BstOp] = field(default_factory=list)
-    boundaries: list[int] = field(default_factory=list)
+    ops: bytearray
+    boundaries: list[int]
+
+    def __init__(self, ops: Iterable[int] = (), boundaries: Optional[list[int]] = None):
+        # hand-written because every access builds a Trace: a generated
+        # __init__ plus a converting __post_init__ is slower
+        self.ops = bytearray(ops)
+        self.boundaries = [] if boundaries is None else boundaries
 
     @property
     def cost(self) -> int:
@@ -77,7 +90,7 @@ class Trace:
             while bi < nb and self.boundaries[bi] == pos:
                 out.append(BOUNDARY_TOKEN)
                 bi += 1
-            out.append(op.token)
+            out.append("PLRU"[op])
         while bi < nb:
             out.append(BOUNDARY_TOKEN)
             bi += 1
@@ -85,7 +98,7 @@ class Trace:
 
     @classmethod
     def from_text(cls, text: str) -> "Trace":
-        ops: list[BstOp] = []
+        ops = bytearray()
         boundaries: list[int] = []
         for tok in text.split():
             if tok == BOUNDARY_TOKEN:
@@ -98,7 +111,8 @@ class Trace:
 class IllegalOpError(ValueError):
     """Raised when an operation is not applicable at the current finger."""
 
-    def __init__(self, op: BstOp, finger: int, reason: str):
+    def __init__(self, op: Union[BstOp, int], finger: int, reason: str):
+        op = BstOp(op)
         self.op = op
         self.finger = finger
         super().__init__(f"illegal {op.token} at finger {finger}: {reason}")
@@ -249,7 +263,7 @@ class ModelTree:
 
     # -- operations ---------------------------------------------------------
 
-    def apply_op(self, op: BstOp) -> None:
+    def apply_op(self, op: int) -> None:
         f = self.finger
         if op == _L:
             c = self.left[f]
@@ -415,11 +429,11 @@ def rotate_edge(left: list[int], right: list[int], parent: list[int], x: int) ->
 
 
 def descend(left: Sequence[int], right: Sequence[int], root: int,
-            key: int) -> tuple[list[int], list[BstOp]]:
+            key: int) -> tuple[list[int], list[int]]:
     """The search from ``root`` down to ``key`` by key comparisons: the nodes
     passed, ``root`` and ``key`` included, and the finger moves between them."""
     path = [root]
-    moves: list[BstOp] = []
+    moves: list[int] = []
     v = root
     while v != key:
         if key < v:
@@ -434,7 +448,7 @@ def descend(left: Sequence[int], right: Sequence[int], root: int,
     return path, moves
 
 
-def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> list[BstOp]:
+def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> list[int]:
     """Finger moves from ``src`` to ``dst`` along tree edges, through their
     nearest common ancestor."""
     spath = [src]
@@ -497,76 +511,129 @@ def verify_trace(
     between boundary i-1 and boundary i; the windows share their endpoints,
     which lets a repeated key be served at zero cost; boundaries whose count
     differs from the sequence's are rejected. Only when neither is given are
-    first-visit positions used. Illegality is reported, never raised.
+    first-visit positions used. Illegality is reported, never raised, and an
+    illegal op anywhere in the trace is reported ahead of any other failure.
 
     ``per_access_cost`` splits the trace at the internal boundaries, with the
     last access extending to the end of the trace so costs always sum to the
     trace length. ``visited_boundaries`` records where each key was first
     seen inside its window.
-    """
-    left, right, parent = t0.left[:], t0.right[:], t0.parent[:]
-    f = t0.finger
-    visits = [f]
-    visit = visits.append
-    for op in trace.ops:
-        if op == _L:
-            c = left[f]
-            if not c:
-                return _illegal(op, f, "no left child", len(visits) - 1)
-            f = c
-        elif op == _R:
-            c = right[f]
-            if not c:
-                return _illegal(op, f, "no right child", len(visits) - 1)
-            f = c
-        else:
-            p = parent[f]
-            if not p:
-                return _illegal(op, f, "finger at root", len(visits) - 1)
-            if op == _P:
-                f = p
-            else:
-                rotate_edge(left, right, parent, f)
-        visit(f)
 
+    With boundaries the replay goes window by window and holds only the
+    finger positions of the current window and of at most a few thousand
+    ops past it, so beyond the tree copy it needs memory for ``s`` and the
+    longest window, not for every operation. First-visit mode holds one
+    position per operation.
+    """
+    total = len(trace.ops)
     m = len(s)
     if boundaries is None and trace.boundaries:
         boundaries = trace.boundaries
-
-    if boundaries is not None:
+    replay = _Replay(t0, trace.ops)
+    first_seen: list[int] = []
+    reason = ""
+    try:
+        if boundaries is None:
+            # first-visit mode: greedy subsequence match, repeats may share a position
+            replay.advance(total, 0)
+            visits = replay.visits
+            pos = 0
+            for i, key in enumerate(s):
+                try:
+                    pos = visits.index(key, pos)
+                except ValueError:
+                    return VerifyReport(False, None, [], [], reason=f"key {key} (access {i}) never visited")
+                first_seen.append(pos)
+            return VerifyReport(True, None, _segment_costs(first_seen, total), first_seen)
         if len(boundaries) != m:
-            return VerifyReport(False, None, [], [], reason=f"{len(boundaries)} boundaries for {m} accesses")
-        prev = 0
-        first_seen: list[int] = []
-        for i, key in enumerate(s):
-            b = boundaries[i]
-            if b < prev or b > len(trace.ops):
-                return VerifyReport(False, None, [], [], reason=f"boundary {b} out of order at access {i}")
-            try:
-                hit = visits.index(key, prev, b + 1)
-            except ValueError:
-                return VerifyReport(
-                    False, None, [], [], reason=f"key {key} (access {i}) not visited in ops {prev}..{b}")
-            first_seen.append(hit)
-            prev = b
-        costs = _segment_costs(list(boundaries), len(trace.ops))
-        return VerifyReport(True, None, costs, first_seen)
-
-    # first-visit mode: greedy subsequence match, repeats may share a position
-    pos = 0
-    first_seen = []
-    for i, key in enumerate(s):
-        try:
-            pos = visits.index(key, pos)
-        except ValueError:
-            return VerifyReport(False, None, [], [], reason=f"key {key} (access {i}) never visited")
-        first_seen.append(pos)
-    costs = _segment_costs(first_seen, len(trace.ops))
-    return VerifyReport(True, None, costs, first_seen)
+            reason = f"{len(boundaries)} boundaries for {m} accesses"
+        else:
+            prev = 0
+            for i, key in enumerate(s):
+                b = boundaries[i]
+                if b < prev or b > total:
+                    reason = f"boundary {b} out of order at access {i}"
+                    break
+                if b > replay.applied:
+                    replay.advance(b, prev)
+                base = replay.base
+                try:
+                    first_seen.append(base + replay.visits.index(key, prev - base, b - base + 1))
+                except ValueError:
+                    reason = f"key {key} (access {i}) not visited in ops {prev}..{b}"
+                    break
+                prev = b
+        # an illegal op anywhere outranks every other failure
+        while replay.applied < total:
+            replay.advance(replay.applied, replay.applied)
+    except _IllegalOp as e:
+        return e.report
+    if reason:
+        return VerifyReport(False, None, [], [], reason=reason)
+    return VerifyReport(True, None, _segment_costs(list(boundaries), total), first_seen)
 
 
-def _illegal(op: BstOp, finger: int, why: str, index: int) -> VerifyReport:
-    return VerifyReport(False, index, [], [], reason=str(IllegalOpError(op, finger, why)))
+# ops replayed ahead of the current window in one step: enough that the
+# per-step cost vanishes, few enough that the finger positions held stay small
+_REPLAY_STEP = 1 << 12
+
+
+class _IllegalOp(Exception):
+    """Ends a replay at the illegal op with index ``index``; ``report`` is
+    the failure :func:`verify_trace` returns."""
+
+    def __init__(self, op: int, finger: int, why: str, index: int):
+        reason = str(IllegalOpError(op, finger, why))
+        super().__init__(reason)
+        self.report = VerifyReport(False, index, [], [], reason=reason)
+
+
+class _Replay:
+    """A copy of a start tree that applies a trace's ops in order, holding
+    the finger positions from a chosen op onwards."""
+
+    __slots__ = ("ops", "applied", "base", "visits", "left", "right", "parent")
+
+    def __init__(self, t0: ModelTree, ops: bytearray):
+        self.ops = ops
+        self.applied = 0  # ops applied so far
+        self.base = 0  # visits[j] is the finger after base + j ops
+        self.visits = [t0.finger]
+        self.left, self.right, self.parent = t0.left[:], t0.right[:], t0.parent[:]
+
+    def advance(self, stop: int, keep: int) -> None:
+        """Forget the finger positions before op ``keep``, then apply the ops
+        up to position ``stop`` and a step beyond it, up to the trace's end.
+        Raises :class:`_IllegalOp`."""
+        visits = self.visits
+        del visits[:keep - self.base]
+        self.base = base = keep
+        left, right, parent = self.left, self.right, self.parent
+        f = visits[-1]
+        visit = visits.append
+        start = self.applied
+        stop = min(len(self.ops), stop + _REPLAY_STEP)
+        for op in self.ops[start:stop]:
+            if op == _L:
+                c = left[f]
+                if not c:
+                    raise _IllegalOp(op, f, "no left child", base + len(visits) - 1)
+                f = c
+            elif op == _R:
+                c = right[f]
+                if not c:
+                    raise _IllegalOp(op, f, "no right child", base + len(visits) - 1)
+                f = c
+            else:
+                p = parent[f]
+                if not p:
+                    raise _IllegalOp(op, f, "finger at root", base + len(visits) - 1)
+                if op == _P:
+                    f = p
+                else:
+                    rotate_edge(left, right, parent, f)
+            visit(f)
+        self.applied = stop
 
 
 def _segment_costs(bounds: list[int], total: int) -> list[int]:

@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BstOp, IllegalOpError, Trace, rotate_edge, walk_ops
+from .model import _L, _P, _R, _U, IllegalOpError, Trace, rotate_edge, walk_ops
 
-_P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 
 class PopTartError(ValueError):
@@ -95,7 +94,7 @@ class StandaloneEngine:
         self.leaf_rec: dict[int, PopTartLeaf] = {}
         self.root = 0
         self.finger = 0
-        self.ops: list[BstOp] = []
+        self.ops: list[int] = []
         self.coef = leaf_score_coef
         self.keys_used = 0
         self.total_leaf_weight = 0.0
@@ -172,7 +171,7 @@ class StandaloneEngine:
             self.ops.append(_P)
             self.finger = self.parent[self.finger]
 
-    def take_ops(self) -> list[BstOp]:
+    def take_ops(self) -> list[int]:
         ops, self.ops = self.ops, []
         return ops
 

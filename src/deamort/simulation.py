@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
-from .model import BstOp, IllegalOpError, ModelTree, rotate_edge, walk_ops
+from .model import _L, _P, _R, _U, IllegalOpError, ModelTree, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
 
-_P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 
 class VirtualTree:
@@ -154,7 +153,7 @@ class Simulator:
         self.next_bit: dict[int, bool] = {}
         self.raw: set[int] = set()
         self.counters = SimCounters()
-        self._ops: list[BstOp] = []
+        self._ops: list[int] = []
         self._building = True
         self._climb = True
         # the finger-path stacks: left side flipped, right side normal
@@ -296,7 +295,7 @@ class Simulator:
 
     # -- virtual op application --------------------------------------------------
 
-    def apply_virtual(self, op: BstOp) -> list[BstOp]:
+    def apply_virtual(self, op: int) -> list[int]:
         """Apply one virtual operation; returns the physical burst, which
         starts and ends with the physical finger on the physical root."""
         self._ops = []
@@ -517,7 +516,7 @@ class WrappedAlgorithm(OnlineBstAlgorithm):
         self.tree = self.sim.pt
         self.n = inner.n
 
-    def access_stream(self, key: int) -> Iterator[list[BstOp]]:
+    def access_stream(self, key: int) -> Iterator[list[int]]:
         inner_trace = self.inner.access(key)
         for op in inner_trace.ops:
             yield self.sim.apply_virtual(op)

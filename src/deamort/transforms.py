@@ -34,9 +34,8 @@ from typing import Iterator, Optional
 
 from .algorithms import OnlineBstAlgorithm
 from .constants import FROZEN
-from .model import BstOp, ModelTree, Trace, descend
+from .model import _P, ModelTree, Trace, descend
 
-_P, _L, _R, _U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
 
 class GuaranteeViolation(RuntimeError):
@@ -64,7 +63,7 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self._cap = 3.0 * FROZEN["INTERLEAVE_C"] * log_n
         self._since_boundary = 0
         self._segment = 0
-        self._gen: Optional[Iterator[list[BstOp]]] = None
+        self._gen: Optional[Iterator[list[int]]] = None
         self._unstarted: list[int] = []
         self.forced_accesses = 0
         self.total_ops = 0
@@ -85,7 +84,7 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self._require_key(key)
         t = self.tree
         self._unstarted.append(key)
-        ops: list[BstOp] = []
+        ops: list[int] = []
         while t.finger != key:
             if t.finger == t.root and self._since_boundary >= self._budget:
                 # forced round trip; the walk back up opens the next segment
@@ -140,7 +139,7 @@ class WorkQueue:
             h = h % n + 1
         raise GuaranteeViolation("queue overflow: every tree node already hosts a cell")
 
-    def _walk(self, key: int) -> list[BstOp]:
+    def _walk(self, key: int) -> list[int]:
         """Round trip root -> key -> root; pure finger moves."""
         t = self.tree
         if t.finger != t.root:
@@ -149,13 +148,13 @@ class WorkQueue:
         ops = descend(t.left, t.right, t.root, key)[1]
         return ops + [_P] * len(ops)
 
-    def enqueue(self, key: int) -> list[BstOp]:
+    def enqueue(self, key: int) -> list[int]:
         if len(self.cells) >= self.tree.n:
             raise GuaranteeViolation(
                 f"queue overflow with {len(self.cells)} cells: the input algorithm "
                 "broke its O(n f(n) + k f(n)) total-work guarantee")
         host = self._free_host(key)
-        ops: list[BstOp] = []
+        ops: list[int] = []
         if self.tail:
             qk, _ = self.cells[self.tail]
             ops += self._walk(self.tail)  # rewrite the old tail's next pointer
@@ -172,7 +171,7 @@ class WorkQueue:
             raise GuaranteeViolation("queue underflow")
         return self.cells[self.head][0]
 
-    def dequeue(self) -> tuple[int, list[BstOp]]:
+    def dequeue(self) -> tuple[int, list[int]]:
         if not self.head:
             raise GuaranteeViolation("queue underflow")
         ops = self._walk(self.head)
@@ -203,11 +202,11 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         self.f_n = math.log2(max(self.n, 2))
         self.queue = WorkQueue(self.tree)
         self.counters = OnlineCounters()
-        self._proc: Optional[Iterator[list[BstOp]]] = None  # oldest key's suspended stream
+        self._proc: Optional[Iterator[list[int]]] = None  # oldest key's suspended stream
         self._pending_up = 0
         self._cap = FROZEN["ONLINE_K"] * self.f_n
 
-    def _pull(self, gen: Iterator[list[BstOp]], budget: float, chunk: list[BstOp]) -> tuple[int, bool]:
+    def _pull(self, gen: Iterator[list[int]], budget: float, chunk: list[int]) -> tuple[int, bool]:
         """Advance a suspended op stream until the budget is spent or it ends."""
         done = 0
         while done < budget:
@@ -221,7 +220,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
     def access(self, key: int) -> Trace:
         self._require_key(key)
         t = self.tree
-        chunk: list[BstOp] = []
+        chunk: list[int] = []
         if self._pending_up:
             back = [_P] * self._pending_up
             self._pending_up = 0
@@ -247,7 +246,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
                     spent += len(walk)
                 else:
                     break
-        gen: Optional[Iterator[list[BstOp]]] = None
+        gen: Optional[Iterator[list[int]]] = None
         finished = False
         if not len(q):
             ran += "B"

@@ -134,7 +134,7 @@ def test_mtr_linear_right():
     t = ModelTree.new_tree(3, "linear-right")
     tr = MoveToRootAlgorithm(t).access(3)
     assert t.root == 3
-    assert tr.ops == [R, R, U, U]
+    assert list(tr.ops) == [R, R, U, U]
 
 
 def test_mtr_access_root():
@@ -154,7 +154,7 @@ def test_mtr_repeat_access_boundary_only():
 def test_static_balanced_seven():
     t = ModelTree.new_tree(7, "balanced")
     tr = StaticAlgorithm(t).access(1)
-    assert tr.ops == [L, L]
+    assert list(tr.ops) == [L, L]
     assert t.finger == 1
 
 
@@ -171,7 +171,7 @@ def test_static_lca_walk():
     alg = StaticAlgorithm(t)
     alg.access(1)
     tr = alg.access(3)
-    assert tr.ops == [P, R]
+    assert list(tr.ops) == [P, R]
     assert t.left[2] == 1 and t.right[2] == 3  # shape unchanged
 
 

@@ -1,15 +1,20 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deamort.algorithms import MoveToRootAlgorithm, SplayAlgorithm
+from deamort import model
 from deamort.model import (
     BstOp,
     IllegalOpError,
     MalformedTreeError,
     ModelTree,
     Trace,
+    VerifyReport,
+    rotate_edge,
     verify_trace,
 )
 
@@ -222,6 +227,156 @@ def test_verify_repeated_key_zero_cost():
     assert rep.per_access_cost == [0, 0]
 
 
+def _list_verify(t0, trace, s, boundaries=None) -> VerifyReport:
+    """The verifier as it was before windowed replay: it lists the finger
+    after every op of the whole trace, then matches the keys. The oracle
+    the windowed replay must agree with on every input."""
+    _P, _L, _R = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT
+
+    def illegal(op, finger, why, index):
+        return VerifyReport(False, index, [], [], reason=str(IllegalOpError(op, finger, why)))
+
+    def segment_costs(bounds, total):
+        if not bounds:
+            return []
+        costs = []
+        prev = 0
+        for b in bounds[:-1]:
+            costs.append(b - prev)
+            prev = b
+        costs.append(total - prev)
+        return costs
+
+    left, right, parent = t0.left[:], t0.right[:], t0.parent[:]
+    f = t0.finger
+    visits = [f]
+    visit = visits.append
+    for op in trace.ops:
+        if op == _L:
+            c = left[f]
+            if not c:
+                return illegal(op, f, "no left child", len(visits) - 1)
+            f = c
+        elif op == _R:
+            c = right[f]
+            if not c:
+                return illegal(op, f, "no right child", len(visits) - 1)
+            f = c
+        else:
+            p = parent[f]
+            if not p:
+                return illegal(op, f, "finger at root", len(visits) - 1)
+            if op == _P:
+                f = p
+            else:
+                rotate_edge(left, right, parent, f)
+        visit(f)
+
+    m = len(s)
+    if boundaries is None and trace.boundaries:
+        boundaries = trace.boundaries
+
+    if boundaries is not None:
+        if len(boundaries) != m:
+            return VerifyReport(False, None, [], [], reason=f"{len(boundaries)} boundaries for {m} accesses")
+        prev = 0
+        first_seen = []
+        for i, key in enumerate(s):
+            b = boundaries[i]
+            if b < prev or b > len(trace.ops):
+                return VerifyReport(False, None, [], [], reason=f"boundary {b} out of order at access {i}")
+            try:
+                hit = visits.index(key, prev, b + 1)
+            except ValueError:
+                return VerifyReport(
+                    False, None, [], [], reason=f"key {key} (access {i}) not visited in ops {prev}..{b}")
+            first_seen.append(hit)
+            prev = b
+        costs = segment_costs(list(boundaries), len(trace.ops))
+        return VerifyReport(True, None, costs, first_seen)
+
+    pos = 0
+    first_seen = []
+    for i, key in enumerate(s):
+        try:
+            pos = visits.index(key, pos)
+        except ValueError:
+            return VerifyReport(False, None, [], [], reason=f"key {key} (access {i}) never visited")
+        first_seen.append(pos)
+    costs = segment_costs(first_seen, len(trace.ops))
+    return VerifyReport(True, None, costs, first_seen)
+
+
+@given(n=st.integers(1, 12), shape=st.sampled_from(["balanced", "linear-right", "linear-left"]),
+       legal=st.booleans(), seed=st.integers(0, 10_000), step=st.integers(1, 5),
+       kind=st.sampled_from(["none", "own", "sorted", "unsorted", "out-of-range", "wrong-count"]),
+       data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_windowed_verify_matches_list_verify(n, shape, legal, seed, step, kind, data):
+    t0 = ModelTree.new_tree(n, shape)
+    rng = random.Random(seed)
+    if legal and n > 1:
+        ops = list(_random_legal_walk(t0.copy(), rng, rng.randint(0, 40)).ops)
+    else:
+        ops = data.draw(st.lists(st.integers(0, 3), max_size=40), label="ops")
+    # fingers of the legal prefix, so that many keys are found in their window
+    t = t0.copy()
+    visits = [t.finger]
+    for op in ops:
+        try:
+            t.apply_op(op)
+        except IllegalOpError:
+            break
+        visits.append(t.finger)
+    cuts = sorted(rng.randint(0, len(ops)) for _ in range(rng.randint(0, 6)))
+    keys = []
+    prev = 0
+    for b in cuts:
+        window = visits[prev:b + 1]
+        keys.append(rng.choice(window) if window and rng.random() < 0.7 else rng.randint(0, n + 1))
+        prev = b
+    bounds = {"none": None, "own": None, "sorted": cuts}.get(kind, list(cuts))
+    if kind == "unsorted":
+        rng.shuffle(bounds)
+    elif kind == "out-of-range" and bounds:
+        bounds[rng.randrange(len(bounds))] = rng.choice([-1, len(ops) + 1])
+    elif kind == "wrong-count":
+        bounds = bounds[1:] if bounds and rng.random() < 0.5 else bounds + [len(ops)]
+    trace = Trace(ops, cuts if kind == "own" else [])
+    saved = model._REPLAY_STEP
+    model._REPLAY_STEP = step  # short steps: many advances, and a legality-only tail of several
+    try:
+        got = verify_trace(t0, trace, keys, bounds)
+    finally:
+        model._REPLAY_STEP = saved
+    assert got == _list_verify(t0, trace, keys, bounds)
+
+
+def test_verify_memory_does_not_grow_with_the_trace():
+    # ~91k ops of raw splay: a per-op visit list alone would take 8 B per op
+    n, m = 1024, 4000
+    rng = random.Random(11)
+    seq = [rng.randint(1, n) for _ in range(m)]
+    splay = SplayAlgorithm(ModelTree.new_tree(n, "balanced"))
+    t0 = splay.tree.copy()
+    trace = Trace()
+    for k in seq:
+        trace.extend(splay.access(k))
+    assert len(trace.ops) >= 80_000
+    assert sys.getsizeof(trace.ops) <= 1.25 * len(trace.ops)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_trace(t0, trace, seq)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.valid
+    # three link-array copies at 8 B a slot; per access a hit position, its
+    # int, a cost and a boundary copy; 64 KiB for the current window
+    assert peak <= 24 * (n + 1) + 64 * m + 65536, peak
+
+
 def test_trace_text_roundtrip():
     tr = Trace([BstOp.LEFT, BstOp.ROTATE, BstOp.PARENT, BstOp.RIGHT], boundaries=[2, 4])
     text = tr.to_text()
@@ -229,6 +384,12 @@ def test_trace_text_roundtrip():
     back = Trace.from_text(text)
     assert back.ops == tr.ops and back.boundaries == tr.boundaries
     assert back.to_text() == text
+
+
+def test_trace_stores_one_byte_op_codes():
+    tr = Trace([BstOp.LEFT, 3, BstOp.PARENT])
+    assert tr.ops == bytearray([1, 3, 0]) and tr.to_text() == "L U P\n"
+    assert IllegalOpError(2, 5, "no right child").op is BstOp.RIGHT
 
 
 def test_tree_text_roundtrip():

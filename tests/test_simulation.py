@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,6 +256,45 @@ def test_lazy_mode_starts_with_original_tree():
     assert lazy.tree.right[1:] == t.right[1:]
 
 
+def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
+    # each restructure may allocate for its own region only: the heavy path
+    # from the entered root and the roots hanging off it, never a snapshot
+    # of whole link arrays (64 KiB apiece at this n)
+    n = 8192
+    restructure = Simulator._restructure
+    calls = []
+
+    def containers(sim):
+        return sum(sys.getsizeof(c) for c in (sim.blocks, sim.entry, sim.next_bit, sim.raw))
+
+    def measured(sim, c):
+        vt = sim.vt
+        path = [c]
+        while vt.solid[path[-1]]:
+            path.append(vt.solid[path[-1]])
+        region = len(path) + sum(1 for u in path for h in (vt.left[u], vt.right[u])
+                                 if h and h != vt.solid[u])
+        before = containers(sim)
+        tracemalloc.start()
+        try:
+            restructure(sim, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        calls.append((c, region, peak, containers(sim) - before))
+
+    monkeypatch.setattr(Simulator, "_restructure", measured)
+    w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")), lazy=True)
+    rng = random.Random(0)
+    for _ in range(60):
+        w.access(rng.randint(1, n))
+    assert len(calls) > 100
+    for c, region, peak, growth in calls:
+        # a simulator-wide dict or set that resizes holds its old and new
+        # tables at once, at most three times its growth
+        assert peak <= 1024 * (region + 1) + 3 * growth, (c, region, peak, growth)
+
+
 def test_dump_state_mentions_annotations():
     w = wrap(SplayAlgorithm(ModelTree.new_tree(7, "balanced")))
     w.access(1)
@@ -332,7 +373,7 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
             legal += [BstOp.PARENT, BstOp.ROTATE]
         op = legal[pick % len(legal)]
         ref.apply_op(op)
-        full.ops += sim.apply_virtual(op)
+        full.ops.extend(sim.apply_virtual(op))
         full.boundaries.append(len(full.ops))  # each burst ends on the new finger
         seq.append(ref.finger)
         errs = sim.check_state()
