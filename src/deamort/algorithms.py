@@ -112,6 +112,7 @@ class SplayAlgorithm(_OneBurstAlgorithm):
             v = parent[v]
 
         path, dirs = descend(left, right, t.root, key)
+        key = path[-1]  # the tree's own int object for the key, which the links share
         d = len(dirs)
         # pair ancestor indices bottom-up: (d-1, d-2), (d-3, d-4), ...
         zigzig = [False] * d

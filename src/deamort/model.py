@@ -17,9 +17,10 @@ and copying trivial, which the replay and search tools rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, MutableSequence, Optional, Sequence, Union
 
 
 class BstOp(IntEnum):
@@ -61,16 +62,22 @@ class Trace:
     at the point where the (i+1)-th access is declared complete. Boundaries
     are non-decreasing and at most ``len(ops)``. The cost of a trace is its
     length.
+
+    ``boundaries`` is kept as given, typically a one-entry list for one
+    access. Without it the trace keeps them in an ``array('q')``, so a run
+    that grows one trace access by access with :meth:`extend` holds one
+    byte per op and eight bytes per access, with no int object per boundary.
     """
 
     ops: bytearray
-    boundaries: list[int]
+    boundaries: MutableSequence[int]
 
-    def __init__(self, ops: Iterable[int] = (), boundaries: Optional[list[int]] = None):
+    def __init__(self, ops: Iterable[int] = (),
+                 boundaries: Optional[MutableSequence[int]] = None):
         # hand-written because every access builds a Trace: a generated
         # __init__ plus a converting __post_init__ is slower
         self.ops = bytearray(ops)
-        self.boundaries = [] if boundaries is None else boundaries
+        self.boundaries = array("q") if boundaries is None else boundaries
 
     @property
     def cost(self) -> int:
@@ -79,7 +86,10 @@ class Trace:
     def extend(self, other: "Trace") -> None:
         base = len(self.ops)
         self.ops.extend(other.ops)
-        self.boundaries.extend(base + b for b in other.boundaries)
+        # a plain loop: faster than extending from a generator
+        append = self.boundaries.append
+        for b in other.boundaries:
+            append(base + b)
 
     def to_text(self) -> str:
         """Render as whitespace-separated tokens, `#` marking boundaries."""
@@ -138,12 +148,16 @@ class ModelTree:
     the rotated nodes to :meth:`mark_stale` or keeps ``hgt`` exact itself, so
     recorded traces replay exactly.
 
-    Heights in ``hgt`` are deferred. A tree starts with unknown heights, and
-    its first :meth:`height` recomputes them all. After that, rotations only
-    note their endpoints as stale, and :meth:`height` settles the stale nodes
-    and their ancestors, children first. So ``hgt`` is exact at every node
-    right after a :meth:`height` call and until the next rotation. Past n
-    stale entries the heights are unknown again.
+    Each key is one int object, shared by every link to it and by the
+    tree's copies, so a tree holds its links and n int objects.
+
+    Heights in ``hgt`` are deferred. A tree starts with unknown heights and
+    ``hgt`` None, and its first :meth:`height` allocates and computes them.
+    After that, rotations only note their endpoints as stale, and
+    :meth:`height` settles the stale nodes and their ancestors, children
+    first. So ``hgt`` is exact at every node right after a :meth:`height`
+    call and until the next rotation. Past n stale entries the heights are
+    unknown again.
     """
 
     __slots__ = ("n", "left", "right", "parent", "root", "finger", "hgt", "_stale")
@@ -160,8 +174,10 @@ class ModelTree:
         left = [0] * (n + 1)
         right = [0] * (n + 1)
         parent = [0] * (n + 1)
+        # every link to key k holds the object keys[k]
+        keys = list(range(n + 1))
         root = 0
-        for k in range(1, n + 1):
+        for k in keys[1:]:
             p = parents[k - 1]
             if p == 0:
                 if root:
@@ -180,7 +196,7 @@ class ModelTree:
                 if right[p]:
                     raise MalformedTreeError(k, f"key {p} already has a right child")
                 right[p] = k
-            parent[k] = p
+            parent[k] = keys[p]
         if not root:
             raise MalformedTreeError(1, "no root")
         self._link(left, right, parent, root)
@@ -203,7 +219,7 @@ class ModelTree:
         self.parent = parent
         self.root = root
         self.finger = root
-        self.hgt = [0] * len(left)
+        self.hgt: Optional[list[int]] = None
         # stale nodes since the last height(); None while the heights are unknown
         self._stale: Optional[list[int]] = None
 
@@ -337,6 +353,8 @@ class ModelTree:
         stale.clear()
 
     def _recompute_heights(self) -> None:
+        if self.hgt is None:
+            self.hgt = [0] * (self.n + 1)
         order: list[int] = []
         stack = [self.root]
         while stack:
@@ -472,28 +490,32 @@ def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> 
 
 def _balanced_parents(n: int) -> list[int]:
     parents = [0] * n
-
-    def build(lo: int, hi: int, parent: int, is_left: bool) -> None:
+    # (lo, hi, signed parent of the subtree over lo..hi); an explicit stack,
+    # as a recursive closure is a reference cycle that outlives the call
+    stack = [(1, n, 0)]
+    while stack:
+        lo, hi, p = stack.pop()
         if lo > hi:
-            return
+            continue
         mid = (lo + hi) // 2
-        if parent:
-            parents[mid - 1] = -parent if is_left else parent
-        build(lo, mid - 1, mid, True)
-        build(mid + 1, hi, mid, False)
-
-    build(1, n, 0, False)
+        parents[mid - 1] = p
+        stack.append((lo, mid - 1, -mid))
+        stack.append((mid + 1, hi, mid))
     return parents
 
 
 @dataclass
 class VerifyReport:
-    """Outcome of replaying a trace against an access sequence."""
+    """Outcome of replaying a trace against an access sequence.
+
+    A valid report holds, per access, its cost as a list of ints (mostly
+    cached small ints) and its hit position as a machine int in an
+    ``array('q')``; a failed one holds neither."""
 
     valid: bool
     failure_index: Optional[int]
-    per_access_cost: list[int]
-    visited_boundaries: list[int]
+    per_access_cost: list[int] = field(default_factory=list)
+    visited_boundaries: array[int] = field(default_factory=lambda: array("q"))
     reason: str = ""
 
 
@@ -521,16 +543,17 @@ def verify_trace(
 
     With boundaries the replay goes window by window and holds only the
     finger positions of the current window and of at most a few thousand
-    ops past it, so beyond the tree copy it needs memory for ``s`` and the
-    longest window, not for every operation. First-visit mode holds one
-    position per operation.
+    ops past it. Beyond the tree copy and ``s`` it then holds eight bytes
+    per access for the hit positions, a cost slot per access and the
+    longest window, not one entry per operation; the boundaries are read in
+    place. First-visit mode holds one position per operation.
     """
     total = len(trace.ops)
     m = len(s)
     if boundaries is None and trace.boundaries:
         boundaries = trace.boundaries
     replay = _Replay(t0, trace.ops)
-    first_seen: list[int] = []
+    first_seen = array("q")
     reason = ""
     try:
         if boundaries is None:
@@ -542,7 +565,7 @@ def verify_trace(
                 try:
                     pos = visits.index(key, pos)
                 except ValueError:
-                    return VerifyReport(False, None, [], [], reason=f"key {key} (access {i}) never visited")
+                    return VerifyReport(False, None, reason=f"key {key} (access {i}) never visited")
                 first_seen.append(pos)
             return VerifyReport(True, None, _segment_costs(first_seen, total), first_seen)
         if len(boundaries) != m:
@@ -569,8 +592,8 @@ def verify_trace(
     except _IllegalOp as e:
         return e.report
     if reason:
-        return VerifyReport(False, None, [], [], reason=reason)
-    return VerifyReport(True, None, _segment_costs(list(boundaries), total), first_seen)
+        return VerifyReport(False, None, reason=reason)
+    return VerifyReport(True, None, _segment_costs(boundaries, total), first_seen)
 
 
 # ops replayed ahead of the current window in one step: enough that the
@@ -585,7 +608,7 @@ class _IllegalOp(Exception):
     def __init__(self, op: int, finger: int, why: str, index: int):
         reason = str(IllegalOpError(op, finger, why))
         super().__init__(reason)
-        self.report = VerifyReport(False, index, [], [], reason=reason)
+        self.report = VerifyReport(False, index, reason=reason)
 
 
 class _Replay:
@@ -636,14 +659,13 @@ class _Replay:
         self.applied = stop
 
 
-def _segment_costs(bounds: list[int], total: int) -> list[int]:
-    if not bounds:
-        return []
+def _segment_costs(bounds: Sequence[int], total: int) -> list[int]:
+    """Each access's cost, the last one running to the end of the trace."""
     costs = []
     prev = 0
-    for b in bounds[:-1]:
+    for b in bounds:
         costs.append(b - prev)
         prev = b
-    costs.append(total - prev)
+    if costs:
+        costs[-1] += total - prev
     return costs
-

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -133,6 +134,22 @@ def test_run_experiment_reports():
     assert rep2.max_depth_observed <= (constants.FROZEN["SIM_DEPTH_MULT"] * math.log2(32)
                                        + constants.FROZEN["SIM_DEPTH_ADD"])
     assert rep2.ratio_vs_baseline > 1.0
+
+
+def test_raw_run_memory_per_access():
+    # per access a raw run holds a key of the sequence, a trace boundary, a
+    # hit position and a cost slot at about 8 B each, and its ops at a byte
+    # each (about 15 per access on this sequence)
+    def peak(m: int) -> int:
+        tracemalloc.start()
+        try:
+            run_experiment("splay", "none", SequenceSpec("zipf:1.2", 4096, m, seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = peak(8000) - peak(4000)
+    assert grown <= 64 * 4000, grown / 4000
 
 
 def test_run_experiment_online_chain_counters():

@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,7 +197,7 @@ def test_verify_first_visit_matches_apply_op_replay(n, seed, steps):
     rep = verify_trace(t0, tr, keys)
     assert rep.valid == (len(want) == len(keys))
     if rep.valid:
-        assert rep.visited_boundaries == want
+        assert list(rep.visited_boundaries) == want
         ends = want[:-1] + [tr.cost]
         assert rep.per_access_cost == [b - a for a, b in zip([0] + ends, ends)]
 
@@ -234,7 +236,7 @@ def _list_verify(t0, trace, s, boundaries=None) -> VerifyReport:
     _P, _L, _R = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT
 
     def illegal(op, finger, why, index):
-        return VerifyReport(False, index, [], [], reason=str(IllegalOpError(op, finger, why)))
+        return VerifyReport(False, index, [], array("q"), reason=str(IllegalOpError(op, finger, why)))
 
     def segment_costs(bounds, total):
         if not bounds:
@@ -278,22 +280,22 @@ def _list_verify(t0, trace, s, boundaries=None) -> VerifyReport:
 
     if boundaries is not None:
         if len(boundaries) != m:
-            return VerifyReport(False, None, [], [], reason=f"{len(boundaries)} boundaries for {m} accesses")
+            return VerifyReport(False, None, [], array("q"), reason=f"{len(boundaries)} boundaries for {m} accesses")
         prev = 0
         first_seen = []
         for i, key in enumerate(s):
             b = boundaries[i]
             if b < prev or b > len(trace.ops):
-                return VerifyReport(False, None, [], [], reason=f"boundary {b} out of order at access {i}")
+                return VerifyReport(False, None, [], array("q"), reason=f"boundary {b} out of order at access {i}")
             try:
                 hit = visits.index(key, prev, b + 1)
             except ValueError:
                 return VerifyReport(
-                    False, None, [], [], reason=f"key {key} (access {i}) not visited in ops {prev}..{b}")
+                    False, None, [], array("q"), reason=f"key {key} (access {i}) not visited in ops {prev}..{b}")
             first_seen.append(hit)
             prev = b
         costs = segment_costs(list(boundaries), len(trace.ops))
-        return VerifyReport(True, None, costs, first_seen)
+        return VerifyReport(True, None, costs, array("q", first_seen))
 
     pos = 0
     first_seen = []
@@ -301,10 +303,10 @@ def _list_verify(t0, trace, s, boundaries=None) -> VerifyReport:
         try:
             pos = visits.index(key, pos)
         except ValueError:
-            return VerifyReport(False, None, [], [], reason=f"key {key} (access {i}) never visited")
+            return VerifyReport(False, None, [], array("q"), reason=f"key {key} (access {i}) never visited")
         first_seen.append(pos)
     costs = segment_costs(first_seen, len(trace.ops))
-    return VerifyReport(True, None, costs, first_seen)
+    return VerifyReport(True, None, costs, array("q", first_seen))
 
 
 @given(n=st.integers(1, 12), shape=st.sampled_from(["balanced", "linear-right", "linear-left"]),
@@ -372,9 +374,39 @@ def test_verify_memory_does_not_grow_with_the_trace():
     finally:
         tracemalloc.stop()
     assert rep.valid
-    # three link-array copies at 8 B a slot; per access a hit position, its
-    # int, a cost and a boundary copy; 64 KiB for the current window
-    assert peak <= 24 * (n + 1) + 64 * m + 65536, peak
+    # three link-array copies at 8 B a slot; per access an 8 B hit position
+    # and a slot in the cost list, whose small costs are cached ints; 64 KiB
+    # for the current window; the boundaries are read in place
+    assert peak <= 24 * (n + 1) + 24 * m + 65536, peak
+
+
+def _link_objects(*trees: ModelTree) -> set[int]:
+    """The ids of the int objects the trees' non-zero links hold."""
+    return {id(v) for t in trees for links in (t.left, t.right, t.parent) for v in links if v}
+
+
+def test_links_hold_one_int_object_per_key():
+    n = 4096  # keys above 256 are not cached by the interpreter
+    for shape in ("balanced", "linear-left", "linear-right"):
+        t = ModelTree.new_tree(n, shape)
+        assert len(_link_objects(t)) <= n, shape
+        assert len(_link_objects(ModelTree.from_text(t.to_text()))) <= n, shape
+    t = ModelTree.new_tree(n, "balanced")
+    splay = SplayAlgorithm(t)
+    rng = random.Random(5)
+    for _ in range(1000):
+        splay.access(rng.randint(1, n))  # a fresh int object per access
+    assert len(_link_objects(t, t.copy())) <= n
+
+
+def test_balanced_tree_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        ModelTree.new_tree(4096, "balanced")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_trace_text_roundtrip():
