@@ -52,6 +52,17 @@ FROZEN: dict[str, float] = {
     # algorithm: |A'''(S)| <= K' * |A(S)| once the run is longer than n
     # accesses. Measured ~45 peak on adversarial mixes; frozen with headroom.
     "ONLINE_K_PRIME": 64.0,
+    # Ops of one lazy restructure per node of its heavy path of k nodes.
+    # Structural: the route passes through a canonical shape that each end
+    # reaches in at most k-1 rotations, and the finger walks of each leg move
+    # one way along a spine: about 7k ops plus the walk into the region.
+    # Measured peak 3.55 over 2,812 restructures (calibrate(): 600 random
+    # lazy runs from insertion-order shapes, n <= 40, unit, int and exp
+    # weights), 3.88 over 600 such runs with n <= 300, and
+    # 4.95 on zigzag start paths of 1,000 nodes, where lifting each node to
+    # its target place in turn took 9.2 (12.3 on a linear path of 4,096).
+    # Frozen with headroom. Calibrated 2026-10.
+    "C_RESTRUCTURE": 6.0,
     # Interleaved transform totals: within 3x of the input stream by
     # construction (forced round trips are shorter than the budget that
     # triggers them).
@@ -64,9 +75,10 @@ def calibrate(seed: int = 0) -> dict[str, float]:
     import random
 
     from .algorithms import SplayAlgorithm
-    from .model import ModelTree
+    from .model import BstOp, ModelTree
+    from .optsearch import insertion_shape
     from .poptart import PopTartLeaf, make_poptart
-    from .simulation import wrap
+    from .simulation import Simulator, VirtualTree, wrap
 
     rng = random.Random(seed)
     out: dict[str, float] = {}
@@ -106,6 +118,34 @@ def calibrate(seed: int = 0) -> dict[str, float]:
         phys += w.access(rng.randint(1, n)).cost
     out["C_SIM"] = phys / w.sim.counters.virtual_ops
     out["SIM_MAX_DEPTH_RATIO"] = w.sim.counters.max_height / math.log2(n)
+
+    ratios = []
+
+    class Probe(Simulator):
+        def _restructure(self, c: int) -> None:
+            k = len(self.vt.heavy_path(c))
+            before = self.counters.restructure_ops
+            super()._restructure(c)
+            ratios.append((self.counters.restructure_ops - before) / k)
+
+    # random legal virtual-op streams from random insertion-order shapes
+    for run in range(600):
+        n = rng.randint(2, 40)
+        shape = insertion_shape(rng.sample(range(1, n + 1), n))
+        kind = run % 3
+        weights = None if kind == 0 else [
+            rng.randint(1, 3) if kind == 1 else math.exp(rng.uniform(0, 12)) for _ in range(n)]
+        sim = Probe(VirtualTree(ModelTree.new_tree(n, shape), weights), lazy=True)
+        ref = ModelTree.new_tree(n, shape)
+        for _ in range(rng.randint(20, 200)):
+            f = ref.finger
+            legal = [op for op, c in ((BstOp.LEFT, ref.left[f]), (BstOp.RIGHT, ref.right[f])) if c]
+            if ref.parent[f]:
+                legal += [BstOp.PARENT, BstOp.ROTATE]
+            op = rng.choice(legal)
+            ref.apply_op(op)
+            sim.apply_virtual(op)
+    out["C_RESTRUCTURE"] = max(ratios)
     return out
 
 

@@ -44,6 +44,25 @@ def enumerate_shapes(n: int) -> Iterator[list[int]]:
         yield [d[k] for k in range(1, n + 1)]
 
 
+def insertion_shape(keys: Sequence[int]) -> list[int]:
+    """Signed parent array of the BST built by inserting ``keys``, a
+    permutation of 1..n, in order."""
+    n = len(keys)
+    parents = [0] * n
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    for k in keys[1:]:
+        v = keys[0]
+        while True:
+            links = left if k < v else right
+            if not links[v]:
+                links[v] = k
+                parents[k - 1] = -v if k < v else v
+                break
+            v = links[v]
+    return parents
+
+
 def _advance(progress: int, finger: int, s: Sequence[int]) -> int:
     while progress < len(s) and s[progress] == finger:
         progress += 1

@@ -20,9 +20,10 @@ operations are emitted and counted.
 Both layouts start from a copy of the original tree's links. The eager
 layout builds every block over them at construction. In lazy mode each
 subtree stays in its original shape until the finger first enters it; the
-region is then rebuilt by the same block builder, run silently on the live
-arrays to find the target shape, and rotated into place with counted
-operations, leaving its hanging subtrees raw in turn.
+block builder, run silently on the live arrays, finds the region's target
+shape, and counted rotations (:mod:`deamort.restructure`) take the heavy
+path of k nodes there through a canonical vine-like shape in O(k) ops,
+leaving its hanging subtrees raw in turn.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .algorithms import OnlineBstAlgorithm
 from .model import _L, _P, _R, _U, IllegalOpError, ModelTree, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
-
+from .restructure import LazyRestructuring
 
 
 class VirtualTree:
@@ -84,6 +85,13 @@ class VirtualTree:
     def total_weight(self) -> float:
         return self.wsub[self.root]
 
+    def heavy_path(self, v: int) -> list[int]:
+        """The solid path from v down to the leaf that ends it."""
+        path = [v]
+        while self.solid[path[-1]]:
+            path.append(self.solid[path[-1]])
+        return path
+
     def apply_rotation(self) -> int:
         """Rotate the virtual finger over its parent; returns the old parent."""
         x = self.finger
@@ -120,7 +128,7 @@ class SimCounters:
     max_height: int = 0
 
 
-class Simulator:
+class Simulator(LazyRestructuring):
     """Physical world for one wrapped algorithm run.
 
     The simulator is itself the engine of every chocolate stack it holds:
@@ -199,9 +207,7 @@ class Simulator:
         v's nodes start in v's original shape, where the heavy path ends at
         a leaf, so the links written are exact."""
         vt = self.vt
-        path = [v]
-        while vt.solid[path[-1]]:
-            path.append(vt.solid[path[-1]])
+        path = vt.heavy_path(v)
         x = path[-1]
         ctl = self._new_block(x, v)
         self.wsub[x] = self.weight[x]
@@ -417,49 +423,6 @@ class Simulator:
         else:
             zone_p.base = 0
         self._reblock_isolated(p)
-
-    # -- lazy restructuring -------------------------------------------------------
-
-    def _restructure(self, c: int) -> None:
-        """Convert a still-original subtree into block form with counted ops.
-
-        The block builder runs silently on the live arrays to find the target
-        shape; the entries it wrote are then put back and the region is
-        rotated into that shape top-down, stopping at the subtrees it leaves
-        raw."""
-        self.raw.discard(c)
-        del self.blocks[c]
-        self.entry.pop(c, None)
-        vt = self.vt
-        left, right, parent, wsub = self.left, self.right, self.parent, self.wsub
-        # the builder writes only to c's heavy path and the roots hanging off it
-        path = [c]
-        while vt.solid[path[-1]]:
-            path.append(vt.solid[path[-1]])
-        hangs = [h for u in path for h in (vt.left[u], vt.right[u]) if h and h != vt.solid[u]]
-        saved = [(v, left[v], right[v], parent[v], wsub[v]) for v in path + hangs]
-        self._building = True
-        x = self._build_block(c)
-        self._building = False
-        target = {u: (right[u], left[u]) for u in path}  # stacked so left is shaped first
-        for v, l, r, p, w in saved:
-            left[v], right[v], parent[v], wsub[v] = l, r, p, w
-        before = len(self._ops)
-        # one height pass over the region afterwards, not a climb per rotation
-        self._climb = False
-        order = []
-        todo = [(x, parent[c])]  # the target root takes c's place
-        while todo:
-            v, anchor = todo.pop()
-            order.append(v)
-            while parent[v] != anchor:
-                self.rotate_up(v)
-            for ch in target[v]:
-                if ch and ch not in self.raw:
-                    todo.append((ch, v))
-        self._climb = True
-        self._climb_heights(reversed(order))
-        self.counters.restructure_ops += len(self._ops) - before
 
     # -- verification helpers ---------------------------------------------------
 

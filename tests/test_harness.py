@@ -267,7 +267,7 @@ def test_recalibration_stays_under_the_frozen_ceilings():
     ceiling = {"C_SCAN": "C_SCAN", "C_BAL": "C_BAL", "C_SIM": "C_SIM",
                "C_AM[cherry]": "C_AM", "C_AM[chocolate]": "C_AM",
                "C_WC[cherry]": "C_WC", "C_WC[chocolate]": "C_WC",
-               "SIM_MAX_DEPTH_RATIO": "INTERLEAVE_C"}
+               "SIM_MAX_DEPTH_RATIO": "INTERLEAVE_C", "C_RESTRUCTURE": "C_RESTRUCTURE"}
     measured = constants.calibrate()
     assert set(measured) == set(ceiling)
     for name, value in measured.items():

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from deamort.algorithms import MoveToRootAlgorithm, SplayAlgorithm, StaticAlgorithm
 from deamort.constants import FROZEN
 from deamort.model import BstOp, ModelTree, Trace, verify_trace
-from deamort.optsearch import enumerate_shapes
+from deamort.experiments import run_experiment
+from deamort.optsearch import enumerate_shapes, insertion_shape
+from deamort.sequences import SequenceSpec
 from deamort.simulation import (
     Simulator,
     VirtualTree,
@@ -20,6 +22,7 @@ from deamort.simulation import (
 )
 
 DEPTH_MULT, DEPTH_ADD = FROZEN["SIM_DEPTH_MULT"], FROZEN["SIM_DEPTH_ADD"]
+C_RESTRUCTURE = FROZEN["C_RESTRUCTURE"]
 
 
 def _vt(n, shape="balanced", weights=None):
@@ -76,28 +79,7 @@ def test_build_all_or_random_shapes_depth(n):
 def _random_parents(n, rng):
     keys = list(range(1, n + 1))
     rng.shuffle(keys)
-    parents = [0] * n
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    root = keys[0]
-    for k in keys[1:]:
-        v = root
-        while True:
-            if k < v:
-                if left[v]:
-                    v = left[v]
-                else:
-                    left[v] = k
-                    parents[k - 1] = -v
-                    break
-            else:
-                if right[v]:
-                    v = right[v]
-                else:
-                    right[v] = k
-                    parents[k - 1] = v
-                    break
-    return parents
+    return insertion_shape(keys)
 
 
 def test_build_weighted_depth_bound():
@@ -295,6 +277,24 @@ def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
         assert peak <= 1024 * (region + 1) + 3 * growth, (c, region, peak, growth)
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("shape", ["linear-right", "linear-left"])
+def test_lazy_linear_start_restructures_in_linear_ops(shape, n):
+    # the first access restructures the whole start path of n - 1 nodes;
+    # lifting each node to its target place in turn took 10.3n at n=1024
+    w = wrap(SplayAlgorithm(ModelTree.new_tree(n, shape)), lazy=True)
+    w.access(n // 2)
+    assert 0 < w.sim.counters.restructure_ops <= 4 * n
+
+
+def test_lazy_balanced_run_restructures_less_than_lifting_each_node():
+    # 1,118 restructure ops when each node was lifted to its target place
+    # in turn; 937 through a canonical shape
+    rep = run_experiment("splay", "wrap", SequenceSpec("uniform", 1024, 64, 0),
+                         shape="balanced", lazy=True)
+    assert 0 < rep.restructure_ops < 1118
+
+
 def test_dump_state_mentions_annotations():
     w = wrap(SplayAlgorithm(ModelTree.new_tree(7, "balanced")))
     w.access(1)
@@ -348,20 +348,38 @@ def test_check_state_reports_a_block_root_that_is_not_a_leaf():
 _WEIGHTS = {"int": st.integers(1, 3), "exp": st.floats(0, 12).map(math.exp)}
 
 
+class _ProbedSimulator(Simulator):
+    """Records the ops and the heavy-path length of every lazy restructure."""
+
+    def __init__(self, *args, **kwargs):
+        self.restructures = []
+        super().__init__(*args, **kwargs)
+
+    def _restructure(self, c):
+        k = len(self.vt.heavy_path(c))
+        before = self.counters.restructure_ops
+        super()._restructure(c)
+        self.restructures.append((self.counters.restructure_ops - before, k))
+
+
 @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("kind", ["unit", *_WEIGHTS])
 @given(data=st.data(), n=st.integers(2, 40),
-       shape=st.sampled_from(["balanced", "linear-right", "linear-left"]),
+       shape=st.sampled_from(["balanced", "linear-right", "linear-left", "random"]),
        picks=st.integers(0, 200).flatmap(
            lambda m: st.lists(st.integers(0, 3), min_size=m, max_size=m)))
 @settings(max_examples=40, deadline=None)
 def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
     """Any legal virtual-op stream, fed straight to the simulator, keeps the
-    physical world sound and encodes a plain replay of the same stream."""
+    physical world sound and encodes a plain replay of the same stream; every
+    lazy restructure over a heavy path of k nodes costs at most
+    C_RESTRUCTURE*k ops."""
+    if shape == "random":
+        shape = insertion_shape(data.draw(st.permutations(range(1, n + 1))))
     weights = None
     if kind in _WEIGHTS:
         weights = data.draw(st.lists(_WEIGHTS[kind], min_size=n, max_size=n))
-    sim = Simulator(VirtualTree(ModelTree.new_tree(n, shape), weights), lazy=lazy)
+    sim = _ProbedSimulator(VirtualTree(ModelTree.new_tree(n, shape), weights), lazy=lazy)
     ref = ModelTree.new_tree(n, shape)
     t0 = sim.pt.copy()
     full = Trace()
@@ -383,3 +401,4 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
     rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
     assert rep.valid, rep.reason
+    assert all(ops <= C_RESTRUCTURE * k for ops, k in sim.restructures), sim.restructures

@@ -87,6 +87,13 @@ def test_trace_grid_byte_identical(chain):
     assert not bad, bad
 
 
+def test_trace_grid_records_no_trip():
+    # lazy wrap+interleave from a linear start once tripped in its first
+    # access, whose restructure burst alone outran the interleave cap
+    want = _recorded()
+    assert not [c for c in _cells() if want[c]["trip"]]
+
+
 def test_trace_grid_exercises_lazy_restructuring():
     want = _recorded()
     lazy = [c for c in _cells() if "/lazy/" in c]
