@@ -1,11 +1,13 @@
 """Online BST algorithms expressed as unit-cost operation emitters.
 
-Each algorithm owns a :class:`ModelTree` and serves one key at a time;
-``access`` returns the operations emitted for that key, already applied to
-the tree, ending with an access boundary. ``access_stream`` exposes the same
-operations in bursts; it serves the layers that the transforms wrap, which
-pause between bursts. The transforms themselves serve whole accesses only.
-These reference algorithms keep no state besides the tree itself.
+Each algorithm owns a :class:`ModelTree` and a :class:`Trace`, and serves one
+key at a time: ``access`` appends the operations for that key to
+``self.trace``, already applied to the tree, then the access boundary, and
+returns the number of operations it appended. ``access_stream`` yields the
+same work in bursts, each burst the number of operations it appended; it
+serves the layers that the transforms wrap, which pause between bursts. The
+transforms themselves serve whole accesses only. These reference algorithms
+keep no state besides the tree and the trace.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .model import _P, _U, ModelTree, Trace, descend, rotate_edge, walk_ops
-
 
 
 class AlgorithmInvariantError(RuntimeError):
@@ -26,17 +27,18 @@ class OnlineBstAlgorithm:
     def __init__(self, tree: ModelTree):
         self.tree = tree
         self.n = tree.n
+        self.trace = Trace()
 
-    def access(self, key: int) -> Trace:
-        ops: list[int] = []
-        for burst in self.access_stream(key):
-            ops.extend(burst)
-        return Trace(ops, [len(ops)])
+    def access(self, key: int) -> int:
+        cost = sum(self.access_stream(key))
+        self.trace.boundaries.append(len(self.trace.ops))
+        return cost
 
-    def access_stream(self, key: int) -> Iterator[list[int]]:
-        """Yield op bursts for one access. The tree is mutated as bursts are
-        produced; the finger is at the root whenever that is structurally
-        guaranteed (see each algorithm)."""
+    def access_stream(self, key: int) -> Iterator[int]:
+        """Append one access's ops to ``self.trace`` in bursts, yielding
+        each burst's op count. The tree is mutated as bursts are produced;
+        the finger is at the root whenever that is structurally guaranteed
+        (see each algorithm)."""
         raise NotImplementedError
 
     def _require_key(self, key: int) -> None:
@@ -45,40 +47,39 @@ class OnlineBstAlgorithm:
 
 
 class _OneBurstAlgorithm(OnlineBstAlgorithm):
-    """A reference algorithm: each access is one burst, computed and applied
-    to the tree's link arrays by :meth:`serve`."""
+    """A reference algorithm: each access is one burst, computed, applied
+    to the tree's link arrays and appended to the trace by :meth:`serve`."""
 
-    def serve(self, key: int) -> list[int]:
-        """Apply the access to ``key``; return its ops."""
+    def serve(self, key: int) -> int:
+        """Apply the access to ``key``; return the number of ops appended."""
         raise NotImplementedError
 
-    def access(self, key: int) -> Trace:
-        ops = self.serve(key)
-        return Trace(ops, [len(ops)])
-
-    def access_stream(self, key: int) -> Iterator[list[int]]:
+    def access_stream(self, key: int) -> Iterator[int]:
         yield self.serve(key)
 
 
 class StaticAlgorithm(_OneBurstAlgorithm):
     """Walks the finger to the key and leaves the tree untouched."""
 
-    def serve(self, key: int) -> list[int]:
+    def serve(self, key: int) -> int:
         self._require_key(key)
         t = self.tree
-        ops = walk_ops(t.left, t.parent, t.finger, key)
+        moves = walk_ops(t.left, t.parent, t.finger, key)
+        self.trace.ops.extend(moves)
         t.finger = key
-        return ops
+        return len(moves)
 
 
 class MoveToRootAlgorithm(_OneBurstAlgorithm):
     """Walks to the key, then rotates it to the root with single rotations."""
 
-    def serve(self, key: int) -> list[int]:
+    def serve(self, key: int) -> int:
         self._require_key(key)
         t = self.tree
         left, right, parent = t.left, t.right, t.parent
-        ops = walk_ops(left, parent, t.finger, key)
+        ops = self.trace.ops
+        start = len(ops)
+        ops.extend(walk_ops(left, parent, t.finger, key))
         t.finger = key
         if parent[key]:
             path = [key]  # the old root-to-key path, bottom-up
@@ -87,7 +88,7 @@ class MoveToRootAlgorithm(_OneBurstAlgorithm):
                 ops.append(_U)
             t.root = key
             t.mark_stale(path)
-        return ops
+        return len(ops) - start
 
 
 class SplayAlgorithm(_OneBurstAlgorithm):
@@ -100,12 +101,13 @@ class SplayAlgorithm(_OneBurstAlgorithm):
     disjoint edges.
     """
 
-    def serve(self, key: int) -> list[int]:
+    def serve(self, key: int) -> int:
         self._require_key(key)
         t = self.tree
         left, right, parent = t.left, t.right, t.parent
+        ops = self.trace.ops
+        start = len(ops)
         # splay leaves the finger at the root; walk up defensively otherwise
-        ops: list[int] = []
         v = t.finger
         while parent[v]:
             ops.append(_P)
@@ -126,7 +128,7 @@ class SplayAlgorithm(_OneBurstAlgorithm):
             ops.append(dirs[i])
         # the remaining rotations keep the finger on the key
         ups = d - zigzig.count(True)
-        ops += [_U] * ups
+        ops.extend([_U] * ups)
         for _ in range(ups):
             rotate_edge(left, right, parent, key)
         if parent[key]:
@@ -134,7 +136,7 @@ class SplayAlgorithm(_OneBurstAlgorithm):
         t.root = t.finger = key
         if d:
             t.mark_stale(path)
-        return ops
+        return len(ops) - start
 
 
 ALGORITHMS: dict[str, Callable[[ModelTree], OnlineBstAlgorithm]] = {

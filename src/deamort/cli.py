@@ -102,7 +102,7 @@ def verify(tree_path, trace_path, keys, first_visit):
         tr = Trace.from_text(fh.read())
     seq = [int(k) for k in keys.split(",") if k]
     if first_visit:
-        tr = Trace(tr.ops, [])
+        tr = Trace(tr.ops)
     rep = verify_trace(t0, tr, seq)
     if rep.valid:
         click.echo(f"valid: per-access costs {rep.per_access_cost}")

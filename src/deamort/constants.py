@@ -86,12 +86,12 @@ def calibrate(seed: int = 0) -> dict[str, float]:
     scans = []
     for n in (256, 1024):
         alg = SplayAlgorithm(ModelTree.new_tree(n, "balanced"))
-        scans.append(sum(alg.access(k).cost for k in range(1, n + 1)) / n)
+        scans.append(sum(alg.access(k) for k in range(1, n + 1)) / n)
     out["C_SCAN"] = max(scans)
 
     n, m = 512, 4096
     alg = SplayAlgorithm(ModelTree.new_tree(n, "linear-right"))
-    total = sum(alg.access(rng.randint(1, n)).cost for _ in range(m))
+    total = sum(alg.access(rng.randint(1, n)) for _ in range(m))
     out["C_BAL"] = total / (m * math.log2(n))
 
     for kind in ("cherry", "chocolate"):
@@ -100,23 +100,22 @@ def calibrate(seed: int = 0) -> dict[str, float]:
         mm = 30000
         for _ in range(mm):
             if live and rng.random() < 0.47:
-                _, tr = pt.pop()
+                _, cost = pt.pop()
                 live -= 1
             else:
                 nid += 1
-                tr = pt.push(PopTartLeaf(nid, math.exp(rng.uniform(0, 8))))
+                cost = pt.push(PopTartLeaf(nid, math.exp(rng.uniform(0, 8))))
                 live += 1
-            tot += tr.cost
-            wc = max(wc, tr.cost / (math.log2(max(live, 2)) + 1))
+            tot += cost
+            wc = max(wc, cost / (math.log2(max(live, 2)) + 1))
         out[f"C_AM[{kind}]"] = tot / mm
         out[f"C_WC[{kind}]"] = wc
 
     n, m = 512, 4096
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")))
-    phys = 0
     for _ in range(m):
-        phys += w.access(rng.randint(1, n)).cost
-    out["C_SIM"] = phys / w.sim.counters.virtual_ops
+        w.access(rng.randint(1, n))
+    out["C_SIM"] = w.trace.cost / w.sim.counters.virtual_ops
     out["SIM_MAX_DEPTH_RATIO"] = w.sim.counters.max_height / math.log2(n)
 
     ratios = []

@@ -10,7 +10,7 @@ proven to realize their sequences.
 from __future__ import annotations
 
 from .algorithms import OnlineBstAlgorithm, make_algorithm
-from .model import ModelTree, ShapeSpec, Trace, verify_trace
+from .model import ModelTree, ShapeSpec, verify_trace
 from .optsearch import OPT_MAX_M, OPT_MAX_N, opt_bruteforce
 from .reports import CostReport, cost_histogram
 from .sequences import SequenceSpec, gen_sequence
@@ -48,12 +48,11 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
     seq = gen_sequence(spec)
     alg = build_chain(algo_id, chain, ModelTree.new_tree(spec.n, shape), weights, lazy)
     t0 = alg.tree.copy()
-    full = Trace()
     max_depth = 0
     sim = getattr(alg, "sim", None) or getattr(getattr(alg, "inner", None), "sim", None)
     probe = max(1, len(seq) // 64)
     for i, k in enumerate(seq):
-        full.extend(alg.access(k))
+        alg.access(k)
         if sim is not None:
             h = sim.pt.hgt[sim.pt.root]
             if h > max_depth:
@@ -64,19 +63,20 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
                 max_depth = h
     if sim is None:
         max_depth = max(max_depth, alg.tree.height())
-    rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+    trace = alg.trace
+    rep = verify_trace(t0, trace, seq, boundaries=trace.boundaries)
     if not rep.valid:
         raise VerificationFailure(rep)
     costs = rep.per_access_cost
-    baseline_total = full.cost
+    baseline_total = trace.cost
     if chain != "none":
         base_alg = make_algorithm(algo_id, ModelTree.new_tree(spec.n, shape))
-        baseline_total = sum(base_alg.access(k).cost for k in seq)
+        baseline_total = sum(base_alg.access(k) for k in seq)
     opt_cost = None
     ratio_opt = None
     if spec.n <= OPT_MAX_N and len(seq) <= OPT_MAX_M:
         opt_cost = opt_bruteforce(t0, seq)
-        ratio_opt = (full.cost / opt_cost) if opt_cost else None
+        ratio_opt = (trace.cost / opt_cost) if opt_cost else None
     counters = getattr(alg, "counters", None)
     return CostReport(
         algorithm=algo_id,
@@ -85,11 +85,11 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
         m=spec.m,
         seq_kind=spec.kind,
         seed=spec.seed,
-        total_ops=full.cost,
+        total_ops=trace.cost,
         per_access_max=max(costs) if costs else 0,
         per_access_histogram=cost_histogram(costs),
         max_depth_observed=max_depth,
-        ratio_vs_baseline=(full.cost / baseline_total) if baseline_total else 1.0,
+        ratio_vs_baseline=(trace.cost / baseline_total) if baseline_total else 1.0,
         baseline_total=baseline_total,
         ratio_vs_opt=ratio_opt,
         opt_cost=opt_cost,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, MutableSequence, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 class BstOp(IntEnum):
@@ -57,39 +57,27 @@ class Trace:
     """An operation list plus access-boundary positions.
 
     ``ops`` is a ``bytearray`` holding one ``BstOp`` code (0-3) per
-    operation; the constructor copies any iterable of ``BstOp`` or ints
-    into a new one. ``boundaries[i]`` is the number of operations executed
-    at the point where the (i+1)-th access is declared complete. Boundaries
-    are non-decreasing and at most ``len(ops)``. The cost of a trace is its
-    length.
+    operation, and ``boundaries`` an ``array('q')``; the constructor copies
+    any iterables of ``BstOp`` or ints into them. ``boundaries[i]`` is the
+    number of operations executed at the point where the (i+1)-th access is
+    declared complete. Boundaries are non-decreasing and at most
+    ``len(ops)``. The cost of a trace is its length.
 
-    ``boundaries`` is kept as given, typically a one-entry list for one
-    access. Without it the trace keeps them in an ``array('q')``, so a run
-    that grows one trace access by access with :meth:`extend` holds one
-    byte per op and eight bytes per access, with no int object per boundary.
+    Every algorithm layer appends its ops and boundaries straight into one
+    such trace, so a run holds one byte per op and eight bytes per access,
+    with no int object per boundary.
     """
 
     ops: bytearray
-    boundaries: MutableSequence[int]
+    boundaries: array[int]
 
-    def __init__(self, ops: Iterable[int] = (),
-                 boundaries: Optional[MutableSequence[int]] = None):
-        # hand-written because every access builds a Trace: a generated
-        # __init__ plus a converting __post_init__ is slower
+    def __init__(self, ops: Iterable[int] = (), boundaries: Iterable[int] = ()):
         self.ops = bytearray(ops)
-        self.boundaries = array("q") if boundaries is None else boundaries
+        self.boundaries = array("q", boundaries)
 
     @property
     def cost(self) -> int:
         return len(self.ops)
-
-    def extend(self, other: "Trace") -> None:
-        base = len(self.ops)
-        self.ops.extend(other.ops)
-        # a plain loop: faster than extending from a generator
-        append = self.boundaries.append
-        for b in other.boundaries:
-            append(base + b)
 
     def to_text(self) -> str:
         """Render as whitespace-separated tokens, `#` marking boundaries."""
@@ -466,9 +454,9 @@ def descend(left: Sequence[int], right: Sequence[int], root: int,
     return path, moves
 
 
-def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> list[int]:
+def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> bytearray:
     """Finger moves from ``src`` to ``dst`` along tree edges, through their
-    nearest common ancestor."""
+    nearest common ancestor, one op code per byte as in a trace."""
     spath = [src]
     while parent[src]:
         src = parent[src]
@@ -482,7 +470,7 @@ def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> 
     c = 0
     while c < len(spath) and c < len(dpath) and spath[c] == dpath[c]:
         c += 1
-    ops = [_P] * (len(spath) - c)
+    ops = bytearray(len(spath) - c)  # zero bytes: the P moves up
     for i in range(c - 1, len(dpath) - 1):
         ops.append(_L if left[dpath[i]] == dpath[i + 1] else _R)
     return ops

@@ -38,8 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import _L, _P, _R, _U, IllegalOpError, Trace, rotate_edge, walk_ops
-
+from .model import _L, _P, _R, _U, IllegalOpError, rotate_edge, walk_ops
 
 
 class PopTartError(ValueError):
@@ -80,7 +79,8 @@ class StandaloneEngine:
     """Self-contained node arena with finger tracking and op accounting.
 
     Node ids are small ints; id 0 is the absent link. The leaves are the
-    nodes in ``leaf_rec``, each mapped to its pushed record.
+    nodes in ``leaf_rec``, each mapped to its pushed record. Every finger
+    move and rotation appends its op code to the ``ops`` bytearray.
     """
 
     def __init__(self, leaf_score_coef: float = 0.0):
@@ -94,7 +94,7 @@ class StandaloneEngine:
         self.leaf_rec: dict[int, PopTartLeaf] = {}
         self.root = 0
         self.finger = 0
-        self.ops: list[int] = []
+        self.ops = bytearray()
         self.coef = leaf_score_coef
         self.keys_used = 0
         self.total_leaf_weight = 0.0
@@ -171,10 +171,6 @@ class StandaloneEngine:
             self.ops.append(_P)
             self.finger = self.parent[self.finger]
 
-    def take_ops(self) -> list[int]:
-        ops, self.ops = self.ops, []
-        return ops
-
     def leaf_depth(self, lf: int) -> int:
         d = 0
         while self.parent[lf]:
@@ -242,10 +238,12 @@ class _PopTartBase:
         """v's stack-side child: the rest of the stack below v."""
         return self._sside[v]
 
-    def push(self, leaf: PopTartLeaf) -> Trace:
+    def push(self, leaf: PopTartLeaf) -> int:
         """Standalone push: the element arrives as the parent of the stack
-        root, its leaf in the payload slot, then the stack rebalances."""
+        root, its leaf in the payload slot, then the stack rebalances;
+        returns the number of ops appended to the engine's ``ops``."""
         eng = self.engine
+        start = len(eng.ops)
         old = eng.root
         eng.keys_used += 1
         # even element keys; payload leaves take the odd neighbor
@@ -265,14 +263,16 @@ class _PopTartBase:
         self._push_fixup()
         eng.return_to_root()
         self.size += 1
-        return Trace(eng.take_ops())
+        return len(eng.ops) - start
 
-    def pop(self) -> tuple[PopTartLeaf, Trace]:
+    def pop(self) -> tuple[PopTartLeaf, int]:
         """Standalone pop: detach the root element and its leaf; the finger
-        moves onto the new stack root, then the stack rebalances."""
+        moves onto the new stack root, then the stack rebalances. Returns
+        the record and the op count, as :meth:`push` does."""
         if self.size == 0:
             raise PopTartEmptyError("pop from empty stack")
         eng = self.engine
+        start = len(eng.ops)
         top = eng.root
         lf = self._pside[top]
         if not eng.is_leaf(lf):
@@ -288,7 +288,7 @@ class _PopTartBase:
         self._pop_restore()
         eng.return_to_root()
         self.size -= 1
-        return rec, Trace(eng.take_ops())
+        return rec, len(eng.ops) - start
 
     def total_weight(self) -> float:
         return self.engine.total_leaf_weight

@@ -73,7 +73,7 @@ class LazyRestructuring:
         for v, l, r, p, w in saved:
             left[v], right[v], parent[v], wsub[v] = l, r, p, w
         self._building = False
-        before = len(self._ops)
+        before = len(self.trace.ops)
         # one height pass over the region afterwards, not a climb per rotation
         self._climb = False
         self._to_canonical(c, parent[c], x, shape, None)
@@ -89,7 +89,7 @@ class LazyRestructuring:
                 if ch and ch not in self.raw:
                     todo.append(ch)
         self._climb_heights(reversed(order))
-        self.counters.restructure_ops += len(self._ops) - before
+        self.counters.restructure_ops += len(self.trace.ops) - before
 
     def _spine(self, v: int, links: list[int]) -> int:
         """Path nodes met from v following ``links``, stopping at a raw root."""

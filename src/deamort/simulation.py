@@ -15,7 +15,7 @@ Every virtual operation then becomes a constant number of rotations next to
 the physical root plus stack rebalancing, so the physical finger starts and
 ends each burst at the physical root and every node's physical depth stays
 logarithmic in the weight ratio. Virtual bookkeeping is free; only physical
-operations are emitted and counted.
+operations are counted, appended to the simulator's one ``trace``.
 
 Both layouts start from a copy of the original tree's links. The eager
 layout builds every block over them at construction. In lazy mode each
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
-from .model import _L, _P, _R, _U, IllegalOpError, ModelTree, rotate_edge, walk_ops
+from .model import _L, _P, _R, _U, IllegalOpError, ModelTree, Trace, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
 from .restructure import LazyRestructuring
 
@@ -161,7 +161,7 @@ class Simulator(LazyRestructuring):
         self.next_bit: dict[int, bool] = {}
         self.raw: set[int] = set()
         self.counters = SimCounters()
-        self._ops: list[int] = []
+        self.trace = Trace()
         self._building = True
         self._climb = True
         # the finger-path stacks: left side flipped, right side normal
@@ -249,13 +249,13 @@ class Simulator(LazyRestructuring):
             return
         # adjacent hops dominate; avoid building full root paths for them
         if self.parent[f] == v:
-            self._ops.append(_P)
+            self.trace.ops.append(_P)
         elif self.left[f] == v:
-            self._ops.append(_L)
+            self.trace.ops.append(_L)
         elif self.right[f] == v:
-            self._ops.append(_R)
+            self.trace.ops.append(_R)
         else:
-            self._ops.extend(walk_ops(self.left, self.parent, f, v))
+            self.trace.ops.extend(walk_ops(self.left, self.parent, f, v))
         pt.finger = v
 
     def rotate_up(self, v: int) -> None:
@@ -273,7 +273,7 @@ class Simulator(LazyRestructuring):
         wsub[v] = wsub[p]
         wsub[p] = self.weight[p] + wsub[left[p]] + wsub[right[p]]
         if counted:
-            self._ops.append(_U)
+            self.trace.ops.append(_U)
             if not parent[v]:
                 self.pt.root = v
             if self._climb:
@@ -301,10 +301,11 @@ class Simulator(LazyRestructuring):
 
     # -- virtual op application --------------------------------------------------
 
-    def apply_virtual(self, op: int) -> list[int]:
-        """Apply one virtual operation; returns the physical burst, which
-        starts and ends with the physical finger on the physical root."""
-        self._ops = []
+    def apply_virtual(self, op: int) -> int:
+        """Apply one virtual operation, appending its physical burst to
+        ``self.trace``; returns the burst's op count. The burst starts and
+        ends with the physical finger on the physical root."""
+        start = len(self.trace.ops)
         if op == _L:
             self._vmove_down(False)
         elif op == _R:
@@ -314,14 +315,13 @@ class Simulator(LazyRestructuring):
         else:
             self._vrotate()
         self.walk_to(self.pt.root)
-        ops = self._ops
-        self._ops = []
+        burst = len(self.trace.ops) - start
         self.counters.virtual_ops += 1
-        self.counters.physical_ops += len(ops)
+        self.counters.physical_ops += burst
         h = self.pt.hgt[self.pt.root]
         if h > self.counters.max_height:
             self.counters.max_height = h
-        return ops
+        return burst
 
     def _vmove_down(self, to_right: bool) -> None:
         vt, pt = self.vt, self.pt
@@ -469,7 +469,8 @@ class Simulator(LazyRestructuring):
 
 
 class WrappedAlgorithm(OnlineBstAlgorithm):
-    """Runs the inner algorithm on the shadow tree, emitting physical ops."""
+    """Runs the inner algorithm on the shadow tree, emitting physical ops
+    into the simulator's trace; each access empties the inner trace."""
 
     def __init__(self, inner: OnlineBstAlgorithm, weights: Optional[Sequence[float]] = None,
                  lazy: bool = False):
@@ -478,10 +479,14 @@ class WrappedAlgorithm(OnlineBstAlgorithm):
         self.sim = Simulator(vt, lazy=lazy)
         self.tree = self.sim.pt
         self.n = inner.n
+        self.trace = self.sim.trace
 
-    def access_stream(self, key: int) -> Iterator[list[int]]:
-        inner_trace = self.inner.access(key)
-        for op in inner_trace.ops:
+    def access_stream(self, key: int) -> Iterator[int]:
+        virtual = self.inner.trace
+        self.inner.access(key)
+        ops = virtual.ops[:]
+        del virtual.ops[:], virtual.boundaries[:]
+        for op in ops:
             yield self.sim.apply_virtual(op)
 
 

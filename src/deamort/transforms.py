@@ -17,13 +17,14 @@ streams within d*f(n) ops (d is the frozen ``ONLINE_D``), advance the newest
 key's stream within f(n) ops, and, if that stream is still unfinished, answer
 the request with a direct search and enqueue the key.
 
-Both transforms pause the wrapped layer between the bursts of its
-``access_stream``, but serve whole accesses themselves: no chain puts one
-transform under another. Neither takes options: the depth pledge c
-(``INTERLEAVE_C``), d (``ONLINE_D``) and K (``ONLINE_K``) come from
-``constants.FROZEN``, f(n) is log2(n), and each transform computes its
-budget and cap once, when it is built. A stream that ends without the finger
-on its key raises :class:`GuaranteeViolation` in both.
+Both transforms share the wrapped layer's trace and pause the wrapped layer
+between the bursts of its ``access_stream``, but serve whole accesses
+themselves, each ``access`` returning the number of ops it appended to the
+trace: no chain puts one transform under another. Neither takes options:
+the depth pledge c (``INTERLEAVE_C``), d (``ONLINE_D``) and K (``ONLINE_K``)
+come from ``constants.FROZEN``, f(n) is log2(n), and each transform
+computes its budget and cap once, when it is built. A stream that ends
+without the finger on its key raises :class:`GuaranteeViolation` in both.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Iterator, Optional
 
 from .algorithms import OnlineBstAlgorithm
 from .constants import FROZEN
-from .model import _P, ModelTree, Trace, descend
-
+from .model import _P, ModelTree, descend
 
 
 class GuaranteeViolation(RuntimeError):
@@ -58,12 +58,13 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self.inner = inner
         self.tree = inner.tree
         self.n = inner.n
+        self.trace = inner.trace
         log_n = math.log2(max(self.n, 2))
         self._budget = max(1, math.floor(FROZEN["INTERLEAVE_C"] * log_n))
         self._cap = 3.0 * FROZEN["INTERLEAVE_C"] * log_n
         self._since_boundary = 0
         self._segment = 0
-        self._gen: Optional[Iterator[list[int]]] = None
+        self._gen: Optional[Iterator[int]] = None
         self._unstarted: list[int] = []
         self.forced_accesses = 0
         self.total_ops = 0
@@ -80,11 +81,12 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self._segment = 0
         self._since_boundary = 0
 
-    def access(self, key: int) -> Trace:
+    def access(self, key: int) -> int:
         self._require_key(key)
         t = self.tree
         self._unstarted.append(key)
-        ops: list[int] = []
+        ops, boundaries = self.trace.ops, self.trace.boundaries
+        start = len(ops)
         while t.finger != key:
             if t.finger == t.root and self._since_boundary >= self._budget:
                 # forced round trip; the walk back up opens the next segment
@@ -94,7 +96,10 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
                 self._close_segment()
                 self.total_ops += 2 * len(down)
                 self._segment += len(down)
-                return Trace(ops + down + [_P] * len(down), [len(ops) + len(down)])
+                ops.extend(down)
+                boundaries.append(len(ops))
+                ops.extend([_P] * len(down))
+                return len(ops) - start
             if self._gen is None:
                 if not self._unstarted:
                     raise GuaranteeViolation(
@@ -105,13 +110,13 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
             if burst is None:
                 self._gen = None
                 continue
-            self.total_ops += len(burst)
-            self.original_ops += len(burst)
-            self._segment += len(burst)
-            self._since_boundary += len(burst)
-            ops += burst
+            self.total_ops += burst
+            self.original_ops += burst
+            self._segment += burst
+            self._since_boundary += burst
         self._close_segment()
-        return Trace(ops, [len(ops)])
+        boundaries.append(len(ops))
+        return len(ops) - start
 
 
 def interleave_transform(inner: OnlineBstAlgorithm) -> InterleavedAlgorithm:
@@ -199,34 +204,34 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         self.inner = inner
         self.tree = inner.tree
         self.n = inner.n
+        self.trace = inner.trace
         self.f_n = math.log2(max(self.n, 2))
         self.queue = WorkQueue(self.tree)
         self.counters = OnlineCounters()
-        self._proc: Optional[Iterator[list[int]]] = None  # oldest key's suspended stream
+        self._proc: Optional[Iterator[int]] = None  # oldest key's suspended stream
         self._pending_up = 0
         self._cap = FROZEN["ONLINE_K"] * self.f_n
 
-    def _pull(self, gen: Iterator[list[int]], budget: float, chunk: list[int]) -> tuple[int, bool]:
+    def _pull(self, gen: Iterator[int], budget: float) -> tuple[int, bool]:
         """Advance a suspended op stream until the budget is spent or it ends."""
         done = 0
         while done < budget:
             burst = next(gen, None)
             if burst is None:
                 return done, True
-            done += len(burst)
-            chunk.extend(burst)
+            done += burst
         return done, False
 
-    def access(self, key: int) -> Trace:
+    def access(self, key: int) -> int:
         self._require_key(key)
         t = self.tree
-        chunk: list[int] = []
+        ops = self.trace.ops
+        start = len(ops)
         if self._pending_up:
-            back = [_P] * self._pending_up
+            for _ in range(self._pending_up):
+                t.apply_op(_P)
+            ops.extend([_P] * self._pending_up)
             self._pending_up = 0
-            for op in back:
-                t.apply_op(op)
-            chunk.extend(back)
         ran = ""
         q = self.queue
         if len(q):
@@ -237,33 +242,33 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
                 if self._proc is None:
                     self.counters.restarts += 1
                     self._proc = self.inner.access_stream(q.front())
-                done, finished = self._pull(self._proc, budget - spent, chunk)
+                done, finished = self._pull(self._proc, budget - spent)
                 spent += done
                 if finished:
                     self._proc = None
                     _, walk = q.dequeue()
-                    chunk.extend(walk)
+                    ops.extend(walk)
                     spent += len(walk)
                 else:
                     break
-        gen: Optional[Iterator[list[int]]] = None
+        gen: Optional[Iterator[int]] = None
         finished = False
         if not len(q):
             ran += "B"
             gen = self.inner.access_stream(key)
-            _, finished = self._pull(gen, self.f_n, chunk)
+            _, finished = self._pull(gen, self.f_n)
             if finished and t.finger != key:
                 raise GuaranteeViolation(
                     f"the input algorithm's stream for {key} ended with the "
                     f"finger on {t.finger}, not on the key")
         if not finished:
             ran += "C"
-            chunk.extend(q.enqueue(key))
+            ops.extend(q.enqueue(key))
             if t.finger != t.root:
                 raise GuaranteeViolation(f"direct search for {key} starts at finger "
                                          f"{t.finger}, not at the root {t.root}")
             down = descend(t.left, t.right, t.root, key)[1]
-            chunk.extend(down)
+            ops.extend(down)
             t.finger = key
             self._pending_up = len(down)
             if gen is not None:
@@ -271,13 +276,14 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         self.counters.actions[ran] = self.counters.actions.get(ran, 0) + 1
         # routine A only dequeues and routine C enqueues last: the queue is longest now
         self.counters.max_queue = max(self.counters.max_queue, len(q))
-        self.counters.total_ops += len(chunk)
-        if len(chunk) > self.counters.max_access_ops:
-            self.counters.max_access_ops = len(chunk)
-        if len(chunk) > self._cap:
-            raise GuaranteeViolation(
-                f"request cost {len(chunk)} exceeds K*f(n) = {self._cap:.1f}")
-        return Trace(chunk, [len(chunk)])
+        cost = len(ops) - start
+        self.counters.total_ops += cost
+        if cost > self.counters.max_access_ops:
+            self.counters.max_access_ops = cost
+        if cost > self._cap:
+            raise GuaranteeViolation(f"request cost {cost} exceeds K*f(n) = {self._cap:.1f}")
+        self.trace.boundaries.append(len(ops))
+        return cost
 
 
 def online_transform(inner: OnlineBstAlgorithm) -> OnlineWorstCaseAlgorithm:

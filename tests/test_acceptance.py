@@ -14,7 +14,7 @@ import pytest
 from deamort.algorithms import SplayAlgorithm, StaticAlgorithm, make_algorithm
 from deamort.constants import FROZEN
 from deamort.experiments import build_chain
-from deamort.model import ModelTree, Trace, verify_trace
+from deamort.model import ModelTree, verify_trace
 from deamort.optsearch import enumerate_realizations, enumerate_shapes, opt_bruteforce
 from deamort.poptart import PopTartLeaf, VanillaPopTart, make_poptart
 from deamort.sequences import SequenceSpec, gen_sequence
@@ -106,21 +106,20 @@ def test_criterion_3_poptart_costs():
     for kind in ("cherry", "chocolate"):
         pt = make_poptart(kind)
         oracle = []
-        total = ops = nid = 0
+        total = nid = 0
         worst_ok = True
         for _ in range(m):
             if oracle and rng.random() < 0.48:
-                rec, tr = pt.pop()
+                rec, cost = pt.pop()
                 assert rec.id == oracle.pop()
             else:
                 nid += 1
                 w = 1.0 if kind == "cherry" else 10.0 ** rng.uniform(0, 6)
-                tr = pt.push(PopTartLeaf(nid, w))
+                cost = pt.push(PopTartLeaf(nid, w))
                 oracle.append(nid)
-            total += tr.cost
-            ops += 1
+            total += cost
             cap = FROZEN["C_WC"] * math.log2(max(len(pt), 2)) + FROZEN["C_WC"]
-            if tr.cost > cap:
+            if cost > cap:
                 worst_ok = False
         amortized_ok = total <= FROZEN["C_AM"] * m + FROZEN["C_AM_ADD"]
         assert worst_ok and amortized_ok, (kind, total / m)
@@ -172,12 +171,11 @@ def test_criterion_5_simulation_cost_ratio():
     for kind in ("sequential", "uniform", "zipf", "bit-reversal"):
         seq = gen_sequence(SequenceSpec(kind, n, marks[-1], seed=5))
         w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")))
-        phys = 0
         ratios = []
         for i, k in enumerate(seq, start=1):
-            phys += w.access(k).cost
+            w.access(k)
             if i in marks:
-                ratios.append(phys / w.sim.counters.virtual_ops)
+                ratios.append(w.trace.cost / w.sim.counters.virtual_ops)
         assert all(r <= FROZEN["C_SIM"] for r in ratios), (kind, ratios)
         assert ratios[1] <= ratios[0] * 1.1, (kind, ratios)
         assert ratios[2] <= ratios[1] * 1.1, (kind, ratios)
@@ -197,10 +195,9 @@ def test_criterion_6_interleave_guarantees():
             seq = gen_sequence(SequenceSpec(kind, n, 6 * n, seed=rng.randint(0, 99)))
             a2 = interleave_transform(wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right"))))
             t0 = a2.tree.copy()
-            full = Trace()
             for k in seq:
-                full.extend(a2.access(k))
-            rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+                a2.access(k)
+            rep = verify_trace(t0, a2.trace, seq, boundaries=a2.trace.boundaries)
             assert rep.valid, rep.reason
             assert max(rep.per_access_cost) <= cap
             assert a2.max_segment <= cap
@@ -230,12 +227,10 @@ def test_criterion_7_online_worst_case():
     seq = seq[:m]
 
     raw = SplayAlgorithm(ModelTree.new_tree(n, "linear-right"))
-    raw_total = sum(raw.access(k).cost for k in seq)
+    raw_total = sum(map(raw.access, seq))
 
     a3 = online_transform(wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right"))))
-    total = 0
-    for k in seq:
-        total += a3.access(k).cost
+    total = sum(map(a3.access, seq))
     c = a3.counters
     cap = FROZEN["ONLINE_K"] * math.log2(n)
     assert c.max_access_ops <= cap
@@ -263,7 +258,6 @@ def test_criterion_8_opt_oracle_equivalence():
                         assert enumerate_realizations(t0, list(s), best - 1) == -1
                     checked += 1
     rng = random.Random(8)
-    beat = 0
     for _ in range(40):
         n = rng.randint(2, 4)
         parents = rng.choice(list(enumerate_shapes(n)))
@@ -272,7 +266,7 @@ def test_criterion_8_opt_oracle_equivalence():
         for algo in ("splay", "mtr", "static"):
             for chain in ("none", "wrap", "wrap+interleave", "wrap+online"):
                 alg = build_chain(algo, chain, ModelTree.new_tree(n, parents))
-                cost = sum(alg.access(k).cost for k in s)
+                cost = sum(map(alg.access, s))
                 assert cost >= best, (algo, chain, cost, best)
     _report(8, True,
             f"exact search equals exhaustive enumeration on {checked} instances "
@@ -284,7 +278,7 @@ def test_criterion_9_scanning():
     per_key = {}
     for n in (256, 1024, 4096):
         alg = SplayAlgorithm(ModelTree.new_tree(n, "balanced"))
-        per_key[n] = sum(alg.access(k).cost for k in range(1, n + 1)) / n
+        per_key[n] = sum(map(alg.access, range(1, n + 1))) / n
     vals = list(per_key.values())
     assert all(v <= FROZEN["C_SCAN"] for v in vals), per_key
     assert max(vals) <= min(vals) * 1.1, per_key
@@ -312,10 +306,9 @@ def test_criterion_10_full_pipeline_realization():
             alg = make(n, shape)
             t0 = alg.tree.copy()
             seq = [rng.randint(1, n) for _ in range(25)]
-            full = Trace()
             for k in seq:
-                full.extend(alg.access(k))
-            rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+                alg.access(k)
+            rep = verify_trace(t0, alg.trace, seq, boundaries=alg.trace.boundaries)
             assert rep.valid, (name, trial, rep.reason)
     _report(10, True,
             "verify accepted the emitted traces of A, A', A'', A''' on 100 "

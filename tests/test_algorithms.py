@@ -9,7 +9,8 @@ from deamort.algorithms import (
     StaticAlgorithm,
     make_algorithm,
 )
-from deamort.model import BstOp, ModelTree, Trace, verify_trace
+from deamort.model import BstOp, ModelTree, verify_trace
+from deamort.optsearch import insertion_shape
 
 P, L, R, U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
 
@@ -55,49 +56,24 @@ def _classical_splay(t: ModelTree, k: int) -> None:
 def _random_shape(n, rng):
     keys = list(range(1, n + 1))
     rng.shuffle(keys)
-    parents = [0] * n
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    root = keys[0]
-    for k in keys[1:]:
-        v = root
-        while True:
-            if k < v:
-                if left[v]:
-                    v = left[v]
-                else:
-                    left[v] = k
-                    parents[k - 1] = -v
-                    break
-            else:
-                if right[v]:
-                    v = right[v]
-                else:
-                    right[v] = k
-                    parents[k - 1] = v
-                    break
-    return parents
+    return insertion_shape(keys)
 
 
 def test_splay_zigzig_three_nodes():
     t = ModelTree.new_tree(3, "linear-right")
-    alg = SplayAlgorithm(t)
-    tr = alg.access(3)
+    cost = SplayAlgorithm(t).access(3)
     assert t.root == 3
     assert t.left[3] == 2 and t.left[2] == 1  # zig-zig shape, not move-to-root
-    assert tr.cost <= 2 * 2 + 2
+    assert cost <= 2 * 2 + 2
 
 
 def test_splay_single_node():
-    t = ModelTree.new_tree(1)
-    tr = SplayAlgorithm(t).access(1)
-    assert tr.cost == 0 and tr.boundaries == [0]
+    alg = SplayAlgorithm(ModelTree.new_tree(1))
+    assert alg.access(1) == 0 and list(alg.trace.boundaries) == [0]
 
 
 def test_splay_access_root_no_rotation():
-    t = ModelTree.new_tree(3, "balanced")
-    tr = SplayAlgorithm(t).access(2)
-    assert tr.cost == 0
+    assert SplayAlgorithm(ModelTree.new_tree(3, "balanced")).access(2) == 0
 
 
 def test_splay_matches_classical_oracle():
@@ -110,11 +86,11 @@ def test_splay_matches_classical_oracle():
         k = rng.randint(1, n)
         alg = SplayAlgorithm(t)
         d_before = t.depth(k)
-        tr = alg.access(k)
+        cost = alg.access(k)
         _classical_splay(oracle, k)
         assert t.left == oracle.left and t.right == oracle.right
         assert t.root == oracle.root == k
-        assert tr.cost <= 2 * d_before + 2
+        assert cost <= 2 * d_before + 2
         assert t.check_bst()
 
 
@@ -131,47 +107,43 @@ def test_splay_sequence_matches_classical():
 
 
 def test_mtr_linear_right():
-    t = ModelTree.new_tree(3, "linear-right")
-    tr = MoveToRootAlgorithm(t).access(3)
-    assert t.root == 3
-    assert list(tr.ops) == [R, R, U, U]
+    alg = MoveToRootAlgorithm(ModelTree.new_tree(3, "linear-right"))
+    alg.access(3)
+    assert alg.tree.root == 3
+    assert list(alg.trace.ops) == [R, R, U, U]
 
 
 def test_mtr_access_root():
-    t = ModelTree.new_tree(3, "balanced")
-    tr = MoveToRootAlgorithm(t).access(2)
-    assert tr.cost == 0
+    assert MoveToRootAlgorithm(ModelTree.new_tree(3, "balanced")).access(2) == 0
 
 
 def test_mtr_repeat_access_boundary_only():
     t = ModelTree.new_tree(7, "balanced")
     alg = MoveToRootAlgorithm(t)
     alg.access(5)
-    tr = alg.access(5)
-    assert tr.cost == 0 and tr.boundaries == [0]
+    assert alg.access(5) == 0 and list(alg.trace.boundaries) == [alg.trace.cost] * 2
 
 
 def test_static_balanced_seven():
-    t = ModelTree.new_tree(7, "balanced")
-    tr = StaticAlgorithm(t).access(1)
-    assert list(tr.ops) == [L, L]
-    assert t.finger == 1
+    alg = StaticAlgorithm(ModelTree.new_tree(7, "balanced"))
+    alg.access(1)
+    assert list(alg.trace.ops) == [L, L]
+    assert alg.tree.finger == 1
 
 
 def test_static_current_finger_zero_cost():
     t = ModelTree.new_tree(7, "balanced")
     alg = StaticAlgorithm(t)
     alg.access(3)
-    tr = alg.access(3)
-    assert tr.cost == 0
+    assert alg.access(3) == 0
 
 
 def test_static_lca_walk():
     t = ModelTree.new_tree(3, "balanced")
     alg = StaticAlgorithm(t)
     alg.access(1)
-    tr = alg.access(3)
-    assert list(tr.ops) == [P, R]
+    alg.access(3)
+    assert list(alg.trace.ops) == [L, P, R]
     assert t.left[2] == 1 and t.right[2] == 3  # shape unchanged
 
 
@@ -181,27 +153,24 @@ def test_every_access_realizes_and_preserves_bst():
         t = ModelTree.new_tree(15, "linear-right")
         t0 = t.copy()
         alg = make_algorithm(name, t)
-        full = Trace()
         s = [rng.randint(1, 15) for _ in range(60)]
         for k in s:
-            full.extend(alg.access(k))
+            alg.access(k)
             assert t.check_bst()
-        rep = verify_trace(t0, full, s)
+        rep = verify_trace(t0, alg.trace, s)
         assert rep.valid, (name, rep.reason)
 
 
 def test_online_prefix_property():
     s = [3, 1, 4, 1, 5, 2, 6]
     for name in ("splay", "mtr", "static"):
-        prev_ops = []
+        prev = bytearray()
         for i in range(1, len(s) + 1):
-            t = ModelTree.new_tree(7, "balanced")
-            alg = make_algorithm(name, t)
-            ops = []
+            alg = make_algorithm(name, ModelTree.new_tree(7, "balanced"))
             for k in s[:i]:
-                ops.extend(alg.access(k).ops)
-            assert ops[: len(prev_ops)] == prev_ops
-            prev_ops = ops
+                alg.access(k)
+            assert alg.trace.ops[: len(prev)] == prev
+            prev = alg.trace.ops
 
 
 def test_splay_scanning_linear_total():
@@ -211,7 +180,7 @@ def test_splay_scanning_linear_total():
     for n in (64, 256):
         for shape in ("linear-left", "balanced"):
             alg = SplayAlgorithm(ModelTree.new_tree(n, shape))
-            total = sum(alg.access(k).cost for k in range(1, n + 1))
+            total = sum(map(alg.access, range(1, n + 1)))
             assert total <= FROZEN["C_SCAN"] * n
 
 
@@ -222,7 +191,7 @@ def test_splay_balance_uniform():
     n, m = 128, 512
     t = ModelTree.new_tree(n, "linear-right")
     alg = SplayAlgorithm(t)
-    total = sum(alg.access(rng.randint(1, n)).cost for _ in range(m))
+    total = sum(alg.access(rng.randint(1, n)) for _ in range(m))
     assert total <= FROZEN["C_BAL"] * m * math.log2(n)
 
 

@@ -361,9 +361,9 @@ def test_verify_memory_does_not_grow_with_the_trace():
     seq = [rng.randint(1, n) for _ in range(m)]
     splay = SplayAlgorithm(ModelTree.new_tree(n, "balanced"))
     t0 = splay.tree.copy()
-    trace = Trace()
     for k in seq:
-        trace.extend(splay.access(k))
+        splay.access(k)
+    trace = splay.trace
     assert len(trace.ops) >= 80_000
     assert sys.getsizeof(trace.ops) <= 1.25 * len(trace.ops)
     tracemalloc.start()

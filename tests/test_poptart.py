@@ -55,18 +55,19 @@ def test_lifo_oracle_randomized(kind, mirror):
     rng = random.Random(hash((kind, mirror)) & 0xFFFF)
     pt = make_poptart(kind, mirror=mirror)
     oracle = []
-    nid = 0
+    nid = total = 0
     for _ in range(4000):
         if oracle and rng.random() < 0.45:
-            rec, tr = pt.pop()
+            rec, cost = pt.pop()
             assert rec.id == oracle.pop()
-            assert tr.cost == len(tr.ops)
         else:
             nid += 1
             w = rng.choice([1.0, 2.5, 10.0])
-            pt.push(_leaf(nid, w))
+            cost = pt.push(_leaf(nid, w))
             oracle.append(nid)
+        total += cost
     assert len(pt) == len(oracle)
+    assert total == len(pt.engine.ops)
 
 
 @pytest.mark.parametrize("kind", ["cherry", "chocolate"])
@@ -190,11 +191,9 @@ def test_vanilla_spec_weights():
 def test_vanilla_push_pop_cost_constant():
     pt = VanillaPopTart()
     for i in range(100):
-        tr = pt.push(_leaf(i))
-        assert tr.cost <= 1
+        assert pt.push(_leaf(i)) <= 1
     for _ in range(100):
-        _, tr = pt.pop()
-        assert tr.cost <= 1
+        assert pt.pop()[1] <= 1
 
 
 def test_chocolate_depth_bound_random_weighted():
@@ -300,15 +299,15 @@ def test_worst_case_single_op_logarithmic():
         live, nid = 0, 0
         for _ in range(3000):
             if live and rng.random() < 0.45:
-                _, tr = pt.pop()
+                _, cost = pt.pop()
             else:
                 nid += 1
-                tr = pt.push(_leaf(nid))
+                cost = pt.push(_leaf(nid))
                 live += 1
                 continue
             live -= 1
             bound = 12 * math.log2(max(live + 2, 2)) + 12
-            assert tr.cost <= bound
+            assert cost <= bound
 
 
 def test_amortized_constant_over_script():
@@ -318,13 +317,13 @@ def test_amortized_constant_over_script():
         total, m, live, nid = 0, 0, 0, 0
         for _ in range(20000):
             if live and rng.random() < 0.48:
-                _, tr = pt.pop()
+                _, cost = pt.pop()
                 live -= 1
             else:
                 nid += 1
-                tr = pt.push(_leaf(nid, rng.choice([1.0, 3.0, 9.0])))
+                cost = pt.push(_leaf(nid, rng.choice([1.0, 3.0, 9.0])))
                 live += 1
-            total += tr.cost
+            total += cost
             m += 1
         assert total <= 8 * m + 16
 

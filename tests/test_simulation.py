@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from deamort.algorithms import MoveToRootAlgorithm, SplayAlgorithm, StaticAlgorithm
 from deamort.constants import FROZEN
-from deamort.model import BstOp, ModelTree, Trace, verify_trace
-from deamort.experiments import run_experiment
+from deamort.model import BstOp, ModelTree, verify_trace
+from deamort.experiments import build_chain, run_experiment
 from deamort.optsearch import enumerate_shapes, insertion_shape
 from deamort.sequences import SequenceSpec
 from deamort.simulation import (
     Simulator,
     VirtualTree,
-    WrappedAlgorithm,
     decode_virtual,
     dump_state,
     wrap,
@@ -100,10 +99,9 @@ def test_exhaustive_small_shapes_full_audit():
             for Alg in (SplayAlgorithm, StaticAlgorithm):
                 w = wrap(Alg(ModelTree.new_tree(n, parents)))
                 t0 = w.tree.copy()
-                full = Trace()
                 seq = [rng.randint(1, n) for _ in range(2 * n + 2)]
                 for k in seq:
-                    full.extend(w.access(k))
+                    w.access(k)
                     errs = w.sim.check_state()
                     assert not errs, (n, parents, Alg.__name__, errs)
                     assert w.tree.finger == w.tree.root
@@ -112,7 +110,7 @@ def test_exhaustive_small_shapes_full_audit():
                     assert w.sim.vt.left == w.inner.tree.left
                     assert w.sim.vt.right == w.inner.tree.right
                     assert not w.sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
-                rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+                rep = verify_trace(t0, w.trace, seq, boundaries=w.trace.boundaries)
                 assert rep.valid, rep.reason
 
 
@@ -127,14 +125,13 @@ def test_wrapped_mtr_random_audit():
     rng = random.Random(9)
     w = wrap(MoveToRootAlgorithm(ModelTree.new_tree(40, "linear-left")))
     t0 = w.tree.copy()
-    full = Trace()
     seq = [rng.randint(1, 40) for _ in range(300)]
     for k in seq:
-        full.extend(w.access(k))
+        w.access(k)
         _assert_heights_exact(w.tree)
     assert not w.sim.check_state()
     assert not w.sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
-    assert verify_trace(t0, full, seq, boundaries=full.boundaries).valid
+    assert verify_trace(t0, w.trace, seq, boundaries=w.trace.boundaries).valid
 
 
 def test_wrap_depth_sweep_medium():
@@ -150,20 +147,18 @@ def test_wrap_depth_sweep_medium():
 def test_wrap_single_key_world():
     w = wrap(SplayAlgorithm(ModelTree.new_tree(1)))
     for _ in range(3):
-        tr = w.access(1)
-        assert tr.cost == 0
+        assert w.access(1) == 0
 
 
 def test_wrap_online_prefix_property():
     s = [3, 1, 7, 5, 3, 2, 6, 4]
-    prev = []
+    prev = bytearray()
     for i in range(1, len(s) + 1):
         w = wrap(SplayAlgorithm(ModelTree.new_tree(7, "balanced")))
-        ops = []
         for k in s[:i]:
-            ops.extend(w.access(k).ops)
-        assert ops[: len(prev)] == prev
-        prev = ops
+            w.access(k)
+        assert w.trace.ops[: len(prev)] == prev
+        prev = w.trace.ops
 
 
 def test_weighted_wrap_depth_everywhere():
@@ -178,18 +173,14 @@ def test_weighted_wrap_depth_everywhere():
 
 
 def test_cost_ratio_plateaus():
-    rng = random.Random(7)
     n = 128
     ratios = []
     for m in (5 * n, 10 * n, 20 * n):
         rng2 = random.Random(7)
         w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")))
-        phys = virt = 0
         for _ in range(m):
-            k = rng2.randint(1, n)
-            inner_cost_before = w.sim.counters.virtual_ops
-            phys += w.access(k).cost
-        ratios.append(phys / w.sim.counters.virtual_ops)
+            w.access(rng2.randint(1, n))
+        ratios.append(w.trace.cost / w.sim.counters.virtual_ops)
     assert ratios[1] <= ratios[0] * 1.1
     assert ratios[2] <= ratios[1] * 1.1
 
@@ -198,11 +189,10 @@ def test_cumulative_cost_invariant():
     rng = random.Random(19)
     n = 64
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right")))
-    phys = 0
     for _ in range(8 * n):
-        phys += w.access(rng.randint(1, n)).cost
+        w.access(rng.randint(1, n))
         c = w.sim.counters
-        assert phys <= FROZEN["C_SIM"] * c.virtual_ops + FROZEN["C_SIM"] * n
+        assert w.trace.cost <= FROZEN["C_SIM"] * c.virtual_ops + FROZEN["C_SIM"] * n
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "int-ties"])
@@ -215,17 +205,16 @@ def test_lazy_mode_equivalence_and_depth(shape, weighted):
     eager = wrap(SplayAlgorithm(ModelTree.new_tree(n, shape)), weights)
     lazy = wrap(SplayAlgorithm(ModelTree.new_tree(n, shape)), weights, lazy=True)
     t0 = lazy.tree.copy()
-    full = Trace()
     for k in seq:
         eager.access(k)
-        full.extend(lazy.access(k))
+        lazy.access(k)
         assert lazy.sim.vt.left == eager.sim.vt.left
         errs = lazy.sim.check_state()
         assert not errs, errs
         vl, vr, vroot = decode_virtual(lazy.sim)
         assert (vl, vr, vroot) == (lazy.sim.vt.left, lazy.sim.vt.right, lazy.sim.vt.root)
         _assert_heights_exact(lazy.tree)
-    assert verify_trace(t0, full, seq, boundaries=full.boundaries).valid
+    assert verify_trace(t0, lazy.trace, seq, boundaries=lazy.trace.boundaries).valid
     # once every region is explored the depth bound applies throughout
     assert not lazy.sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
     assert lazy.sim.counters.restructure_ops > 0
@@ -241,7 +230,9 @@ def test_lazy_mode_starts_with_original_tree():
 def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
     # each restructure may allocate for its own region only: the heavy path
     # from the entered root and the roots hanging off it, never a snapshot
-    # of whole link arrays (64 KiB apiece at this n)
+    # of whole link arrays (64 KiB apiece at this n). Its ops go to a buffer
+    # of their own, appended to the run's trace afterwards, so that a
+    # resize of the run-long trace is not charged to the restructure
     n = 8192
     restructure = Simulator._restructure
     calls = []
@@ -257,12 +248,15 @@ def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
         region = len(path) + sum(1 for u in path for h in (vt.left[u], vt.right[u])
                                  if h and h != vt.solid[u])
         before = containers(sim)
+        run_ops, sim.trace.ops = sim.trace.ops, bytearray()
         tracemalloc.start()
         try:
             restructure(sim, c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            run_ops += sim.trace.ops
+            sim.trace.ops = run_ops
         calls.append((c, region, peak, containers(sim) - before))
 
     monkeypatch.setattr(Simulator, "_restructure", measured)
@@ -293,6 +287,19 @@ def test_lazy_balanced_run_restructures_less_than_lifting_each_node():
     rep = run_experiment("splay", "wrap", SequenceSpec("uniform", 1024, 64, 0),
                          shape="balanced", lazy=True)
     assert 0 < rep.restructure_ops < 1118
+
+
+@pytest.mark.parametrize("chain", ["wrap", "wrap+interleave", "wrap+online"])
+def test_wrapped_layer_keeps_no_virtual_ops(chain):
+    # the virtual ops move from the inner trace into the wrapped stream at
+    # once, even for a stream that stays suspended over later accesses
+    rng = random.Random(6)
+    alg = build_chain("splay", chain, ModelTree.new_tree(64, "linear-right"))
+    inner = (alg.inner if chain == "wrap" else alg.inner.inner).trace
+    for _ in range(100):
+        alg.access(rng.randint(1, 64))
+        assert not inner.ops and not inner.boundaries
+    assert alg.trace.cost > 0
 
 
 def test_dump_state_mentions_annotations():
@@ -382,7 +389,6 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
     sim = _ProbedSimulator(VirtualTree(ModelTree.new_tree(n, shape), weights), lazy=lazy)
     ref = ModelTree.new_tree(n, shape)
     t0 = sim.pt.copy()
-    full = Trace()
     seq = []
     for pick in picks:
         f = ref.finger
@@ -391,14 +397,14 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
             legal += [BstOp.PARENT, BstOp.ROTATE]
         op = legal[pick % len(legal)]
         ref.apply_op(op)
-        full.ops.extend(sim.apply_virtual(op))
-        full.boundaries.append(len(full.ops))  # each burst ends on the new finger
+        sim.apply_virtual(op)
+        sim.trace.boundaries.append(sim.trace.cost)  # each burst ends on the new finger
         seq.append(ref.finger)
         errs = sim.check_state()
         assert not errs, errs
         assert decode_virtual(sim) == (ref.left, ref.right, ref.root)
         assert sim.pt.root == ref.finger
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
-    rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+    rep = verify_trace(t0, sim.trace, seq, boundaries=sim.trace.boundaries)
     assert rep.valid, rep.reason
     assert all(ops <= C_RESTRUCTURE * k for ops, k in sim.restructures), sim.restructures

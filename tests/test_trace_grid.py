@@ -5,6 +5,7 @@ run from a fixed seed, and its trace text is compared, through its sha256,
 with the value recorded in ``data/trace_grid.json``. A cell whose guard
 trips must trip with the same exception after the same number of completed
 accesses and the same number of physical ops, with the same trace prefix.
+Each layer's op counters must also add up to the trace's length.
 
 Re-record (only when a change to the traces is intended and explained)::
 
@@ -52,26 +53,35 @@ def _weights(kind, rng):
 
 
 def run_cell(cell):
+    """The cell's recorded row, and whether its counters match its trace."""
     algo, chain, shape, mode, wk = cell.split("/")
     rng = random.Random(zlib.crc32(cell.encode()))
     weights = _weights(wk, rng)
     keys = [rng.randint(1, N) for _ in range(M)]
     alg = build_chain(algo, chain, ModelTree.new_tree(N, shape), weights, mode == "lazy")
     sim = getattr(alg, "sim", None) or alg.inner.sim
-    full = Trace()
     trip = None
+    done = 0  # ops of the completed accesses
     for i, k in enumerate(keys):
         try:
-            full.extend(alg.access(k))
+            alg.access(k)
         except GuaranteeViolation as exc:
             trip = [type(exc).__name__, i, sim.counters.physical_ops]
             break
+        done = alg.trace.cost
+    full = Trace(alg.trace.ops[:done], alg.trace.boundaries)
+    if chain == "wrap":
+        counted = sim.counters.physical_ops == full.cost
+    elif chain == "wrap+online":
+        counted = alg.counters.total_ops == full.cost
+    else:
+        counted = alg.total_ops == full.cost and alg.original_ops == sim.counters.physical_ops
     return {
         "sha256": hashlib.sha256(full.to_text().encode()).hexdigest(),
         "cost": full.cost,
         "restructure_ops": sim.counters.restructure_ops,
         "trip": trip,
-    }
+    }, trip is not None or counted
 
 
 def _recorded():
@@ -83,7 +93,7 @@ def test_trace_grid_byte_identical(chain):
     want = _recorded()
     cells = [c for c in _cells() if c.split("/")[1] == chain]
     assert all(c in want for c in cells)
-    bad = [c for c in cells if run_cell(c) != want[c]]
+    bad = [c for c in cells if run_cell(c) != (want[c], True)]
     assert not bad, bad
 
 
@@ -104,5 +114,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     DATA.parent.mkdir(exist_ok=True)
-    rows = (f"{json.dumps(c)}: {json.dumps(run_cell(c), sort_keys=True)}" for c in _cells())
+    rows = (f"{json.dumps(c)}: {json.dumps(run_cell(c)[0], sort_keys=True)}" for c in _cells())
     DATA.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -5,12 +5,10 @@ import pytest
 
 from deamort.algorithms import OnlineBstAlgorithm, SplayAlgorithm, StaticAlgorithm
 from deamort.constants import FROZEN
-from deamort.model import BstOp, ModelTree, Trace, verify_trace
+from deamort.model import BstOp, ModelTree, verify_trace
 from deamort.simulation import wrap
 from deamort.transforms import (
     GuaranteeViolation,
-    InterleavedAlgorithm,
-    OnlineWorstCaseAlgorithm,
     WorkQueue,
     interleave_transform,
     online_transform,
@@ -26,9 +24,8 @@ def test_interleave_identity_on_immediate_access():
     inner = StaticAlgorithm(ModelTree.new_tree(n, "balanced"))
     a2 = interleave_transform(inner)
     for k in (1, 5, 3, 7, 2):
-        want = plain.access(k)
-        got = a2.access(k)
-        assert got.ops == want.ops
+        assert a2.access(k) == plain.access(k)
+    assert a2.trace == plain.trace
     assert a2.forced_accesses == 0
 
 
@@ -38,16 +35,15 @@ def test_interleave_hard_cap_and_factor():
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right")))
     a2 = interleave_transform(w)
     t0 = a2.tree.copy()
-    full = Trace()
     seq = []
     for i in range(500):
         k = rng.randint(1, n) if i % 4 else (i % n) + 1
         seq.append(k)
-        full.extend(a2.access(k))
+        a2.access(k)
     cap = 3 * FROZEN["INTERLEAVE_C"] * math.log2(n)
     assert a2.max_segment <= cap
     assert a2.total_ops <= FROZEN["INTERLEAVE_FACTOR"] * a2.original_ops
-    rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+    rep = verify_trace(t0, a2.trace, seq, boundaries=a2.trace.boundaries)
     assert rep.valid, rep.reason
     for c in rep.per_access_cost:
         assert c <= cap
@@ -77,7 +73,7 @@ class _MissesKey(OnlineBstAlgorithm):
     """A stream that ends without ever moving the finger to the key."""
 
     def access_stream(self, key):
-        yield []
+        yield 0
 
 
 class _NeverFinishes(OnlineBstAlgorithm):
@@ -88,7 +84,20 @@ class _NeverFinishes(OnlineBstAlgorithm):
         while True:
             t.apply_op(BstOp.LEFT)
             t.apply_op(BstOp.PARENT)
-            yield [BstOp.LEFT, BstOp.PARENT]
+            self.trace.ops.extend((BstOp.LEFT, BstOp.PARENT))
+            yield 2
+
+
+class _DetoursFirst(StaticAlgorithm):
+    """A legal first burst of L P round trips from the root, just past the
+    online cap K*f(n), then the walk to the key. A round trip leaves the
+    tree as it was, so the burst is appended without being applied."""
+
+    def access_stream(self, key):
+        trips = math.ceil(FROZEN["ONLINE_K"] * math.log2(self.n) / 2)
+        self.trace.ops.extend([BstOp.LEFT, BstOp.PARENT] * trips)
+        yield 2 * trips
+        yield self.serve(key)
 
 
 @pytest.mark.parametrize("transform", [interleave_transform, online_transform],
@@ -97,6 +106,14 @@ def test_stream_that_never_reaches_the_key_trips(transform):
     alg = transform(_MissesKey(ModelTree.new_tree(7, "balanced")))
     with pytest.raises(GuaranteeViolation, match="ended with the finger on 4, not on the key"):
         alg.access(3)
+
+
+def test_online_request_over_the_cap_trips():
+    # 900 burst ops, then routine C enqueues key 1 (a round trip to depth 2)
+    # and answers it by a direct search: 906 ops against K*log2(7) = 898.4
+    a3 = online_transform(_DetoursFirst(ModelTree.new_tree(7, "balanced")))
+    with pytest.raises(GuaranteeViolation, match=r"request cost 906 exceeds K\*f\(n\) = 898\.4"):
+        a3.access(1)
 
 
 def test_online_stream_that_never_finishes_overflows_the_queue():
@@ -173,17 +190,16 @@ def test_online_worst_case_run():
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-right")))
     a3 = online_transform(w)
     t0 = a3.tree.copy()
-    full = Trace()
     seq = []
     for i in range(800):
         k = rng.randint(1, n) if i % 3 else (i * 7 % n) + 1
         seq.append(k)
-        full.extend(a3.access(k))
+        a3.access(k)
     c = a3.counters
     assert c.max_access_ops <= a3._cap
     assert c.max_queue <= n
     assert set(c.actions) <= ACTION_TYPES
-    rep = verify_trace(t0, full, seq, boundaries=full.boundaries)
+    rep = verify_trace(t0, a3.trace, seq, boundaries=a3.trace.boundaries)
     assert rep.valid, rep.reason
 
 
@@ -208,8 +224,8 @@ def test_online_charging_against_executed_work():
     total = 0
     for i in range(600):
         k = rng.randint(1, n)
-        raw_total += raw.access(k).cost
-        total += a3.access(k).cost
+        raw_total += raw.access(k)
+        total += a3.access(k)
         bound = 64 * max(raw_total, 1) + 64 * n * a3.f_n
         assert total <= bound
     assert total <= 64 * raw_total
@@ -221,11 +237,10 @@ def test_online_boundary_realizes_each_access():
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "linear-left")))
     a3 = online_transform(w)
     t0 = a3.tree.copy()
-    full = Trace()
     seq = [rng.randint(1, n) for _ in range(120)]
     for k in seq:
-        full.extend(a3.access(k))
-    assert verify_trace(t0, full, seq, boundaries=full.boundaries).valid
+        a3.access(k)
+    assert verify_trace(t0, a3.trace, seq, boundaries=a3.trace.boundaries).valid
 
 
 def test_online_prefix_property_of_transforms():
@@ -234,11 +249,10 @@ def test_online_prefix_property_of_transforms():
         lambda: interleave_transform(wrap(SplayAlgorithm(ModelTree.new_tree(7, "balanced")))),
         lambda: online_transform(wrap(SplayAlgorithm(ModelTree.new_tree(7, "balanced")))),
     ):
-        prev = []
+        prev = bytearray()
         for i in range(1, len(s) + 1):
             alg = make()
-            ops = []
             for k in s[:i]:
-                ops.extend(alg.access(k).ops)
-            assert ops[: len(prev)] == prev
-            prev = ops
+                alg.access(k)
+            assert alg.trace.ops[: len(prev)] == prev
+            prev = alg.trace.ops
