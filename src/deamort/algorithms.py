@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .model import _P, _U, ModelTree, Trace, descend, rotate_edge, walk_ops
+from .model import _U, _U1, ModelTree, Trace, descend, rotate_edge, walk_ops
 
 
 class AlgorithmInvariantError(RuntimeError):
@@ -65,7 +65,7 @@ class StaticAlgorithm(_OneBurstAlgorithm):
         self._require_key(key)
         t = self.tree
         moves = walk_ops(t.left, t.parent, t.finger, key)
-        self.trace.ops.extend(moves)
+        self.trace.ops += moves
         t.finger = key
         return len(moves)
 
@@ -79,7 +79,7 @@ class MoveToRootAlgorithm(_OneBurstAlgorithm):
         left, right, parent = t.left, t.right, t.parent
         ops = self.trace.ops
         start = len(ops)
-        ops.extend(walk_ops(left, parent, t.finger, key))
+        ops += walk_ops(left, parent, t.finger, key)
         t.finger = key
         if parent[key]:
             path = [key]  # the old root-to-key path, bottom-up
@@ -108,10 +108,8 @@ class SplayAlgorithm(_OneBurstAlgorithm):
         ops = self.trace.ops
         start = len(ops)
         # splay leaves the finger at the root; walk up defensively otherwise
-        v = t.finger
-        while parent[v]:
-            ops.append(_P)
-            v = parent[v]
+        if parent[t.finger]:
+            ops += walk_ops(left, parent, t.finger, t.root)
 
         path, dirs = descend(left, right, t.root, key)
         key = path[-1]  # the tree's own int object for the key, which the links share
@@ -128,7 +126,7 @@ class SplayAlgorithm(_OneBurstAlgorithm):
             ops.append(dirs[i])
         # the remaining rotations keep the finger on the key
         ups = d - zigzig.count(True)
-        ops.extend([_U] * ups)
+        ops += _U1 * ups
         for _ in range(ups):
             rotate_edge(left, right, parent, key)
         if parent[key]:

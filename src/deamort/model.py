@@ -47,6 +47,8 @@ _TOKEN_OPS = {op.token: op for op in BstOp}
 # The op codes as plain ints, which every emitter appends: a bytearray is
 # built from a list of ints about twice as fast as from BstOp members.
 _P, _L, _R, _U = (int(op) for op in BstOp)
+# one rotation as trace bytes; ``_U1 * k`` is k rotations in a row
+_U1 = bytes([_U])
 
 # The boundary marker used in the trace text format.
 BOUNDARY_TOKEN = "#"
@@ -145,7 +147,8 @@ class ModelTree:
     :meth:`height` settles the stale nodes and their ancestors, children
     first. So ``hgt`` is exact at every node right after a :meth:`height`
     call and until the next rotation. Past n stale entries the heights are
-    unknown again.
+    unknown again. ``hgt[0]`` is -1, the height of the absent node, so every
+    node's height is one more than its higher child's.
     """
 
     __slots__ = ("n", "left", "right", "parent", "root", "finger", "hgt", "_stale")
@@ -335,28 +338,27 @@ class ModelTree:
         hgt, left, right = self.hgt, self.left, self.right
         for climb in reversed(climbs):
             for v in climb:
-                hl = hgt[left[v]] + 1 if left[v] else 0
-                hr = hgt[right[v]] + 1 if right[v] else 0
-                hgt[v] = hl if hl > hr else hr
+                a, b = hgt[left[v]], hgt[right[v]]
+                hgt[v] = (a if a > b else b) + 1
         stale.clear()
 
     def _recompute_heights(self) -> None:
         if self.hgt is None:
-            self.hgt = [0] * (self.n + 1)
+            self.hgt = [-1] + [0] * self.n
+        left, right = self.left, self.right
         order: list[int] = []
         stack = [self.root]
         while stack:
             v = stack.pop()
             order.append(v)
-            if self.left[v]:
-                stack.append(self.left[v])
-            if self.right[v]:
-                stack.append(self.right[v])
+            if left[v]:
+                stack.append(left[v])
+            if right[v]:
+                stack.append(right[v])
         hgt = self.hgt
         for v in reversed(order):
-            hl = hgt[self.left[v]] + 1 if self.left[v] else 0
-            hr = hgt[self.right[v]] + 1 if self.right[v] else 0
-            hgt[v] = hl if hl > hr else hr
+            a, b = hgt[left[v]], hgt[right[v]]
+            hgt[v] = (a if a > b else b) + 1
 
     # -- queries ------------------------------------------------------------
 
@@ -435,11 +437,12 @@ def rotate_edge(left: list[int], right: list[int], parent: list[int], x: int) ->
 
 
 def descend(left: Sequence[int], right: Sequence[int], root: int,
-            key: int) -> tuple[list[int], list[int]]:
+            key: int) -> tuple[list[int], bytearray]:
     """The search from ``root`` down to ``key`` by key comparisons: the nodes
-    passed, ``root`` and ``key`` included, and the finger moves between them."""
+    passed, ``root`` and ``key`` included, and the finger moves between them,
+    one op code per byte as in a trace."""
     path = [root]
-    moves: list[int] = []
+    moves = bytearray()
     v = root
     while v != key:
         if key < v:
@@ -454,26 +457,64 @@ def descend(left: Sequence[int], right: Sequence[int], root: int,
     return path, moves
 
 
-def walk_ops(left: Sequence[int], parent: Sequence[int], src: int, dst: int) -> bytearray:
-    """Finger moves from ``src`` to ``dst`` along tree edges, through their
-    nearest common ancestor, one op code per byte as in a trace."""
-    spath = [src]
-    while parent[src]:
-        src = parent[src]
-        spath.append(src)
-    dpath = [dst]
-    while parent[dst]:
-        dst = parent[dst]
-        dpath.append(dst)
-    spath.reverse()
-    dpath.reverse()
-    c = 0
-    while c < len(spath) and c < len(dpath) and spath[c] == dpath[c]:
-        c += 1
-    ops = bytearray(len(spath) - c)  # zero bytes: the P moves up
-    for i in range(c - 1, len(dpath) - 1):
-        ops.append(_L if left[dpath[i]] == dpath[i + 1] else _R)
-    return ops
+def walk_ops(left: Sequence[int], parent: Sequence[int], src: int,
+             dst: int) -> bytes | bytearray:
+    """Finger moves from ``src`` to ``dst`` along tree edges, one op code per
+    byte as in a trace: P moves up to their nearest common ancestor c, then
+    L/R moves down to ``dst``. A tree has one simple path between two nodes,
+    so the moves are the same however c is found; the climbs here cost about
+    the walk's own length, not the depths of both ends.
+
+    - ``dst`` is the root: c is ``dst``, and the walk counts the climb from
+      ``src``.
+    - ``src`` is the root: c is ``src``; one climb from ``dst`` gives the
+      moves down, in reverse.
+    - Otherwise both ends climb in turn until one reaches a node the other
+      has passed. That node is c: every common ancestor below it would have
+      been met first, by whichever side reached it second.
+    """
+    if not parent[dst]:
+        up = 0
+        while src := parent[src]:
+            up += 1
+        return bytes(up)
+    down = bytearray()  # the moves down, collected bottom-up
+    if not parent[src]:
+        v = dst
+        while p := parent[v]:
+            down.append(_L if left[p] == v else _R)
+            v = p
+        down.reverse()
+        return down
+    if src == dst:
+        return b""
+    # each node passed -> the P moves from src to it, or the moves from it
+    # down to dst
+    ups = {src: 0}
+    downs = {dst: 0}
+    a, b = src, dst
+    up = 0
+    while True:
+        p = parent[a]
+        if p:
+            up += 1
+            if p in downs:
+                del down[downs[p]:]
+                break
+            ups[p] = up
+            a = p
+        p = parent[b]
+        if p:
+            down.append(_L if left[p] == b else _R)
+            if p in ups:
+                up = ups[p]
+                break
+            downs[p] = len(down)
+            b = p
+        elif not parent[a]:
+            raise MalformedTreeError(src, f"no common ancestor with {dst}")
+    down.reverse()
+    return bytes(up) + down
 
 
 def _balanced_parents(n: int) -> list[int]:

@@ -167,9 +167,7 @@ class StandaloneEngine:
             v = self.parent[v]
 
     def return_to_root(self) -> None:
-        while self.parent[self.finger]:
-            self.ops.append(_P)
-            self.finger = self.parent[self.finger]
+        self.walk_to(self.root)
 
     def leaf_depth(self, lf: int) -> int:
         d = 0

@@ -50,18 +50,19 @@ def _bit_reverse(i: int, bits: int) -> int:
 
 def gen_sequence(spec: SequenceSpec) -> list[int]:
     """Generate the access sequence; identical spec and seed give identical
-    output."""
+    output. Every access to a key holds the same int object."""
     n, m = spec.n, spec.m
     rng = random.Random(spec.seed)
+    keys = list(range(n + 1))
     if spec.kind == "sequential":
-        return [(i % n) + 1 for i in range(m)]
+        return [keys[i % n + 1] for i in range(m)]
     if spec.kind == "uniform":
-        return [rng.randint(1, n) for _ in range(m)]
+        return [keys[rng.randint(1, n)] for _ in range(m)]
     if spec.kind == "zipf":
         cum = list(accumulate(1.0 / (k ** spec.alpha) for k in range(1, n + 1)))
         total = cum[-1]
         # the leftmost key whose cumulative weight reaches x <= total
-        return [bisect_left(cum, rng.random() * total) + 1 for _ in range(m)]
+        return [keys[bisect_left(cum, rng.random() * total) + 1] for _ in range(m)]
     if spec.kind == "working-set":
         window: list[int] = []
         out = []
@@ -73,7 +74,7 @@ def gen_sequence(spec: SequenceSpec) -> list[int]:
                     idx += 1
                 k = window[idx]
             else:
-                k = rng.randint(1, n)
+                k = keys[rng.randint(1, n)]
             out.append(k)
             if k in window:
                 window.remove(k)

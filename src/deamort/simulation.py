@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
-from .model import _L, _P, _R, _U, IllegalOpError, ModelTree, Trace, rotate_edge, walk_ops
+from .model import _L, _P, _R, _U, _U1, IllegalOpError, ModelTree, Trace, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
 from .restructure import LazyRestructuring
 
@@ -136,10 +136,17 @@ class Simulator(LazyRestructuring):
     block root fills a payload slot) and ``rotate_up``.
 
     It also keeps the physical tree's ``hgt`` exact after every counted
-    rotation: :meth:`_climb_heights` recomputes both ends of the rotated
-    edge and climbs until a height comes out unchanged. Lazy restructuring
-    turns the climb off while it rotates a region into shape and makes one
-    pass over the region afterwards."""
+    rotation. A single :meth:`rotate_up` recomputes both ends of the rotated
+    edge and climbs until a height comes out unchanged
+    (:meth:`_climb_heights`). A virtual op that rotates one node several
+    times in a row does it as one batch: :meth:`_lift_to_root` lifts a node
+    over all its ancestors, :meth:`_sink` lifts several nodes in turn over
+    one node. A batch rotates with no height work, appends its U ops, and
+    then makes one pass over the nodes it rotated, children first, climbing
+    from the topmost; :meth:`_vrotate` leaves the heights of the rotation
+    before its sink to that pass too. Lazy restructuring turns the climb
+    off while it rotates a region into shape and makes one pass over the
+    region afterwards."""
 
     def __init__(self, vt: VirtualTree, lazy: bool = False):
         if vt.finger != vt.root:
@@ -247,7 +254,7 @@ class Simulator(LazyRestructuring):
         f = pt.finger
         if f == v:
             return
-        # adjacent hops dominate; avoid building full root paths for them
+        # adjacent hops dominate; they need no climb at all
         if self.parent[f] == v:
             self.trace.ops.append(_P)
         elif self.left[f] == v:
@@ -255,7 +262,7 @@ class Simulator(LazyRestructuring):
         elif self.right[f] == v:
             self.trace.ops.append(_R)
         else:
-            self.trace.ops.extend(walk_ops(self.left, self.parent, f, v))
+            self.trace.ops += walk_ops(self.left, self.parent, f, v)
         pt.finger = v
 
     def rotate_up(self, v: int) -> None:
@@ -279,6 +286,43 @@ class Simulator(LazyRestructuring):
             if self._climb:
                 self._climb_heights((p, v))
 
+    def _lift_to_root(self, v: int) -> None:
+        """Rotate v, which the finger is on, up to the physical root: one
+        counted run of rotations, as many :meth:`rotate_up` calls would
+        emit, with one height pass instead of a climb per rotation. Each old
+        ancestor p of v keeps one subtree and takes over, from v, a subtree
+        that is either v's own or an ancestor lifted over before p; so the
+        ancestors in lifting order, then v, list children before parents."""
+        left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
+        lifted = []
+        while parent[v]:
+            p = rotate_edge(left, right, parent, v)
+            wsub[v] = wsub[p]
+            wsub[p] = weight[p] + wsub[left[p]] + wsub[right[p]]
+            lifted.append(p)
+        self.trace.ops += _U1 * len(lifted)
+        self.pt.root = v
+        lifted.append(v)
+        self._climb_heights(lifted)
+
+    def _sink(self, x: int, over: Sequence[int]) -> None:
+        """Rotate each node of ``over`` in turn over x, whose child it must
+        be when its turn comes: x sinks one level per counted rotation, the
+        finger walked to each node first, and one height pass follows. x
+        ends under the nodes of ``over`` in reverse, each hanging from the
+        one before it, so that order lists children before parents."""
+        left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
+        ops = self.trace.ops
+        for v in over:
+            self.walk_to(v)
+            rotate_edge(left, right, parent, v)
+            wsub[v] = wsub[x]
+            wsub[x] = weight[x] + wsub[left[x]] + wsub[right[x]]
+            ops.append(_U)
+        if not parent[over[0]]:
+            self.pt.root = over[0]
+        self._climb_heights((x, *reversed(over)))
+
     def _climb_heights(self, nodes: Iterable[int]) -> None:
         """Recompute the heights of ``nodes``, listed children before
         parents, then climb from the last one's parent until a height comes
@@ -286,14 +330,12 @@ class Simulator(LazyRestructuring):
         or lie on that climb, as both ends of a rotated edge do."""
         hgt, left, right, parent = self.pt.hgt, self.left, self.right, self.parent
         for v in nodes:
-            hl = hgt[left[v]] + 1 if left[v] else 0
-            hr = hgt[right[v]] + 1 if right[v] else 0
-            hgt[v] = hl if hl > hr else hr
+            a, b = hgt[left[v]], hgt[right[v]]
+            hgt[v] = (a if a > b else b) + 1
         v = parent[v]
         while v:
-            hl = hgt[left[v]] + 1 if left[v] else 0
-            hr = hgt[right[v]] + 1 if right[v] else 0
-            h = hl if hl > hr else hr
+            a, b = hgt[left[v]], hgt[right[v]]
+            h = (a if a > b else b) + 1
             if hgt[v] == h:
                 return
             hgt[v] = h
@@ -348,8 +390,7 @@ class Simulator(LazyRestructuring):
             # f's untouched slot becomes the original leaf under the stack
             recv_side.base = pt.left[f] if to_right else pt.right[f]
         self.walk_to(g)
-        while pt.parent[g]:
-            self.rotate_up(g)
+        self._lift_to_root(g)
         ctl = self.blocks[xB]
         if g == xB:
             del self.blocks[g]
@@ -371,10 +412,8 @@ class Simulator(LazyRestructuring):
         zone_o = self.zR if p_on_left else self.zL
         if zone_p.top_element() != p:
             raise PathStackError(f"path parent {p} does not top its stack")
-        self.rotate_up(p)
         wstar_o = zone_o.top_element()
-        if wstar_o:
-            self.rotate_up(wstar_o)
+        self._sink(f, (p, wstar_o) if wstar_o else (p,))
         self._reblock_isolated(f)
         zone_p.pop_extracted()
         if zone_p.size == 0:
@@ -412,16 +451,18 @@ class Simulator(LazyRestructuring):
         if zone_p.top_element() != p:
             raise PathStackError(f"path parent {p} does not top its stack")
         vt.apply_rotation()
-        # lift p over f, settle the stack, then sink p into the slot that
-        # already holds its own hanging subtree
+        # lift p over f with no climb, settle the stack, then sink p into the
+        # slot that already holds its own hanging subtree. The sink's one
+        # height pass covers p and f, both ends of the lift, and the stack
+        # restore between climbs only up to p
+        self._climb = False
         self.rotate_up(p)
+        self._climb = True
         zone_p.pop_extracted()
-        self.rotate_up(f)
         u = zone_p.top_element()
-        if u:
-            self.rotate_up(u)
-        else:
+        if not u:
             zone_p.base = 0
+        self._sink(p, (f, u) if u else (f,))
         self._reblock_isolated(p)
 
     # -- verification helpers ---------------------------------------------------

@@ -96,9 +96,9 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
                 self._close_segment()
                 self.total_ops += 2 * len(down)
                 self._segment += len(down)
-                ops.extend(down)
+                ops += down
                 boundaries.append(len(ops))
-                ops.extend([_P] * len(down))
+                ops += bytes(len(down))  # P moves back up
                 return len(ops) - start
             if self._gen is None:
                 if not self._unstarted:
@@ -144,22 +144,23 @@ class WorkQueue:
             h = h % n + 1
         raise GuaranteeViolation("queue overflow: every tree node already hosts a cell")
 
-    def _walk(self, key: int) -> list[int]:
+    def _walk(self, key: int) -> bytearray:
         """Round trip root -> key -> root; pure finger moves."""
         t = self.tree
         if t.finger != t.root:
             raise GuaranteeViolation(
                 f"queue walk to {key} starts at finger {t.finger}, not at the root {t.root}")
         ops = descend(t.left, t.right, t.root, key)[1]
-        return ops + [_P] * len(ops)
+        ops += bytes(len(ops))  # P moves back up
+        return ops
 
-    def enqueue(self, key: int) -> list[int]:
+    def enqueue(self, key: int) -> bytearray:
         if len(self.cells) >= self.tree.n:
             raise GuaranteeViolation(
                 f"queue overflow with {len(self.cells)} cells: the input algorithm "
                 "broke its O(n f(n) + k f(n)) total-work guarantee")
         host = self._free_host(key)
-        ops: list[int] = []
+        ops = bytearray()
         if self.tail:
             qk, _ = self.cells[self.tail]
             ops += self._walk(self.tail)  # rewrite the old tail's next pointer
@@ -176,7 +177,7 @@ class WorkQueue:
             raise GuaranteeViolation("queue underflow")
         return self.cells[self.head][0]
 
-    def dequeue(self) -> tuple[int, list[int]]:
+    def dequeue(self) -> tuple[int, bytearray]:
         if not self.head:
             raise GuaranteeViolation("queue underflow")
         ops = self._walk(self.head)
@@ -230,7 +231,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         if self._pending_up:
             for _ in range(self._pending_up):
                 t.apply_op(_P)
-            ops.extend([_P] * self._pending_up)
+            ops += bytes(self._pending_up)  # P moves
             self._pending_up = 0
         ran = ""
         q = self.queue
@@ -247,7 +248,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
                 if finished:
                     self._proc = None
                     _, walk = q.dequeue()
-                    ops.extend(walk)
+                    ops += walk
                     spent += len(walk)
                 else:
                     break
@@ -263,12 +264,12 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
                     f"finger on {t.finger}, not on the key")
         if not finished:
             ran += "C"
-            ops.extend(q.enqueue(key))
+            ops += q.enqueue(key)
             if t.finger != t.root:
                 raise GuaranteeViolation(f"direct search for {key} starts at finger "
                                          f"{t.finger}, not at the root {t.root}")
             down = descend(t.left, t.right, t.root, key)[1]
-            ops.extend(down)
+            ops += down
             t.finger = key
             self._pending_up = len(down)
             if gen is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -50,6 +51,25 @@ def test_zipf_and_working_set_params():
     # a narrow window keeps reuse high
     reuse = sum(1 for i in range(1, 400) if w[i] in w[max(0, i - 4):i])
     assert reuse > 100
+
+
+# sha256 of repr(sequence) for seed 0, recorded before accesses shared one
+# int object per key: sharing them changes no value
+_SEQUENCE_DIGESTS = {
+    ("uniform", 1024, 2000): "e2800ff9be5d15963e89bcd9f7c41c00f0f7ae337f6b00e1c8d543948778b5a6",
+    ("zipf:1.2", 65536, 50000): "c976226d5f28c998683431d4415c43ea7c0624ed237792a7ad4a251eb7d6fa08",
+    ("working-set:64", 1024, 2000): "33d6713a3d987eb12a2cc177844d23f7178cc1bbc448d69450cf15311ccab848",
+    ("sequential", 300, 1000): "93cbb67c7451d7fc7dfc5f73ff86fb9dada20f232ae96ade18054fb17cc8bf53",
+    ("bit-reversal", 512, 1000): "bed31b4d43ab1b5323630e9c892a9a8c0f5ae51d0a114fd827ccb5185c81600a",
+}
+
+
+@pytest.mark.parametrize("kind,n,m", list(_SEQUENCE_DIGESTS))
+def test_sequences_hold_one_int_object_per_key(kind, n, m):
+    seq = gen_sequence(SequenceSpec(kind, n, m, seed=0))
+    assert hashlib.sha256(repr(seq).encode()).hexdigest() == _SEQUENCE_DIGESTS[kind, n, m]
+    # keys above 256 are not cached by the interpreter
+    assert len({id(k) for k in seq}) == len(set(seq))
 
 
 def test_unknown_kind_rejected():

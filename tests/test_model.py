@@ -18,7 +18,9 @@ from deamort.model import (
     VerifyReport,
     rotate_edge,
     verify_trace,
+    walk_ops,
 )
+from deamort.optsearch import insertion_shape
 
 
 def test_single_node_balanced():
@@ -127,6 +129,57 @@ def test_rotation_preserves_inorder(n, seed):
             legal.append(BstOp.ROTATE)
         t.apply_op(rng.choice(legal))
         assert t.check_bst()
+
+
+def _walk_ops_reference(left, parent, src, dst):
+    """Finger moves from src to dst through their nearest common ancestor,
+    found by comparing both full root paths."""
+    spath = [src]
+    while parent[src]:
+        src = parent[src]
+        spath.append(src)
+    dpath = [dst]
+    while parent[dst]:
+        dst = parent[dst]
+        dpath.append(dst)
+    spath.reverse()
+    dpath.reverse()
+    c = 0
+    while c < len(spath) and c < len(dpath) and spath[c] == dpath[c]:
+        c += 1
+    ops = [BstOp.PARENT] * (len(spath) - c)
+    for i in range(c - 1, len(dpath) - 1):
+        ops.append(BstOp.LEFT if left[dpath[i]] == dpath[i + 1] else BstOp.RIGHT)
+    return bytes(ops)
+
+
+_END = st.one_of(st.just("root"), st.integers(1, 10_000))
+
+
+@given(data=st.data(), n=st.integers(1, 40),
+       pairs=st.lists(st.tuples(_END, st.one_of(_END, st.just("same"))), min_size=1, max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_walk_ops_matches_the_both_paths_walk(data, n, pairs):
+    """The one finger walk, from and to the root, between any two nodes and
+    from a node to itself, emits the moves of the walk through both root
+    paths, and replaying them ends on the destination."""
+    t = ModelTree.new_tree(n, insertion_shape(data.draw(st.permutations(range(1, n + 1)))))
+    for a, b in pairs:
+        src = t.root if a == "root" else (a - 1) % n + 1
+        dst = src if b == "same" else t.root if b == "root" else (b - 1) % n + 1
+        ops = walk_ops(t.left, t.parent, src, dst)
+        assert bytes(ops) == _walk_ops_reference(t.left, t.parent, src, dst)
+        t.finger = src
+        for op in ops:
+            t.apply_op(op)
+        assert t.finger == dst
+
+
+def test_walk_ops_between_two_trees_raises():
+    # keys 1 <- 2 and 3 <- 4 form two trees: 2 and 4 have no common ancestor
+    left, parent = [0, 0, 0, 0, 0], [0, 0, 1, 0, 3]
+    with pytest.raises(MalformedTreeError):
+        walk_ops(left, parent, 2, 4)
 
 
 def test_replay_determinism():

@@ -402,9 +402,33 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
         seq.append(ref.finger)
         errs = sim.check_state()
         assert not errs, errs
+        _assert_heights_exact(sim.pt)
         assert decode_virtual(sim) == (ref.left, ref.right, ref.root)
         assert sim.pt.root == ref.finger
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
     rep = verify_trace(t0, sim.trace, seq, boundaries=sim.trace.boundaries)
     assert rep.valid, rep.reason
     assert all(ops <= C_RESTRUCTURE * k for ops, k in sim.restructures), sim.restructures
+
+
+_ALGOS = {"splay": SplayAlgorithm, "mtr": MoveToRootAlgorithm, "static": StaticAlgorithm}
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("kind", ["unit", *_WEIGHTS])
+@pytest.mark.parametrize("algo", list(_ALGOS))
+@given(data=st.data(), n=st.integers(2, 32), keys=st.lists(st.integers(1, 10_000), max_size=16))
+@settings(max_examples=10, deadline=None)
+def test_heights_exact_after_every_virtual_op(algo, kind, lazy, data, n, keys):
+    """Batched lifts and sinks set heights by one pass, not a climb per
+    rotation: after every virtual op of a wrapped algorithm the physical
+    tree's heights match a full recompute."""
+    shape = insertion_shape(data.draw(st.permutations(range(1, n + 1))))
+    weights = None
+    if kind in _WEIGHTS:
+        weights = data.draw(st.lists(_WEIGHTS[kind], min_size=n, max_size=n))
+    w = wrap(_ALGOS[algo](ModelTree.new_tree(n, shape)), weights, lazy=lazy)
+    _assert_heights_exact(w.tree)
+    for k in keys:
+        for _ in w.access_stream((k - 1) % n + 1):
+            _assert_heights_exact(w.tree)
