@@ -9,12 +9,14 @@ proven to realize their sequences.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 from .algorithms import OnlineBstAlgorithm, make_algorithm
 from .model import ModelTree, ShapeSpec, verify_trace
 from .optsearch import OPT_MAX_M, OPT_MAX_N, opt_bruteforce
 from .reports import CostReport, cost_histogram
 from .sequences import SequenceSpec, gen_sequence
-from .simulation import wrap
+from .simulation import Simulator, wrap
 from .transforms import interleave_transform, online_transform
 
 CHAINS = ("none", "wrap", "wrap+interleave", "wrap+online")
@@ -42,14 +44,17 @@ def build_chain(algo_id: str, chain: str, tree: ModelTree,
     return online_transform(wrapped)
 
 
-def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
-                   shape: ShapeSpec = "balanced", weights=None,
-                   lazy: bool = False) -> CostReport:
-    seq = gen_sequence(spec)
-    alg = build_chain(algo_id, chain, ModelTree.new_tree(spec.n, shape), weights, lazy)
-    t0 = alg.tree.copy()
+def _simulator(alg: OnlineBstAlgorithm) -> Optional[Simulator]:
+    """The simulator of a wrapped chain, None for a raw algorithm."""
+    return getattr(alg, "sim", None) or getattr(getattr(alg, "inner", None), "sim", None)
+
+
+def run_accesses(alg: OnlineBstAlgorithm, seq: Sequence[int]) -> int:
+    """Access the keys of ``seq`` in turn; returns the greatest tree height
+    seen, read after every access from a simulator's exact heights, else
+    every ``len(seq) // 64`` accesses and once at the end."""
+    sim = _simulator(alg)
     max_depth = 0
-    sim = getattr(alg, "sim", None) or getattr(getattr(alg, "inner", None), "sim", None)
     probe = max(1, len(seq) // 64)
     for i, k in enumerate(seq):
         alg.access(k)
@@ -63,6 +68,17 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
                 max_depth = h
     if sim is None:
         max_depth = max(max_depth, alg.tree.height())
+    return max_depth
+
+
+def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
+                   shape: ShapeSpec = "balanced", weights=None,
+                   lazy: bool = False) -> CostReport:
+    seq = gen_sequence(spec)
+    alg = build_chain(algo_id, chain, ModelTree.new_tree(spec.n, shape), weights, lazy)
+    t0 = alg.tree.copy()
+    max_depth = run_accesses(alg, seq)
+    sim = _simulator(alg)
     trace = alg.trace
     rep = verify_trace(t0, trace, seq, boundaries=trace.boundaries)
     if not rep.valid:

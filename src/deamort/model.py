@@ -144,11 +144,12 @@ class ModelTree:
     Heights in ``hgt`` are deferred. A tree starts with unknown heights and
     ``hgt`` None, and its first :meth:`height` allocates and computes them.
     After that, rotations only note their endpoints as stale, and
-    :meth:`height` settles the stale nodes and their ancestors, children
-    first. So ``hgt`` is exact at every node right after a :meth:`height`
-    call and until the next rotation. Past n stale entries the heights are
-    unknown again. ``hgt[0]`` is -1, the height of the absent node, so every
-    node's height is one more than its higher child's.
+    :meth:`height` settles them, in any order, by one recompute each and a
+    climb while a height changes (:meth:`_settle_heights` says why any order
+    works). So ``hgt`` is exact right after a :meth:`height` call and until
+    the next rotation. Past n stale entries the heights are unknown again.
+    ``hgt[0]`` is -1, the height of the absent node, so every node's height
+    is one more than its higher child's.
     """
 
     __slots__ = ("n", "left", "right", "parent", "root", "finger", "hgt", "_stale")
@@ -314,49 +315,49 @@ class ModelTree:
                 self._stale = None
 
     def _settle_heights(self) -> None:
-        """Make ``hgt`` exact. A node's subtree changed only if the node, or
-        one of its descendants in the current tree, was noted stale; so the
-        stale nodes' ancestor closure is recomputed, children first. Each
-        stale node's climb stops below the first node an earlier climb
-        reached, so replaying the climbs last to first, each bottom-up,
-        visits every node after all of its recomputed descendants."""
+        """Make ``hgt`` exact: recompute each distinct stale node, then climb
+        from its parent while a height changes. Any order is exact. Only a
+        stale node or the current parent of one can have new children (a
+        rotation's ends are stale, and their parents are the only other
+        nodes whose children it changes), so every other node changes
+        height only when a child's height changes, and that change always
+        climbs to it."""
         stale = self._stale
         if stale is None:
             self._recompute_heights()
             self._stale = []
             return
-        parent = self.parent
-        seen: set[int] = set()
-        climbs = []
-        for v in stale:
-            climb = []
-            while v and v not in seen:
-                seen.add(v)
-                climb.append(v)
-                v = parent[v]
-            climbs.append(climb)
-        hgt, left, right = self.hgt, self.left, self.right
-        for climb in reversed(climbs):
-            for v in climb:
+        hgt, left, right, parent = self.hgt, self.left, self.right, self.parent
+        for v in dict.fromkeys(stale):
+            a, b = hgt[left[v]], hgt[right[v]]
+            hgt[v] = (a if a > b else b) + 1
+            v = parent[v]
+            while v:
                 a, b = hgt[left[v]], hgt[right[v]]
-                hgt[v] = (a if a > b else b) + 1
+                h = (a if a > b else b) + 1
+                if hgt[v] == h:
+                    break
+                hgt[v] = h
+                v = parent[v]
         stale.clear()
+
+    def _postorder(self) -> list[int]:
+        """Every node of the tree, children before parents."""
+        left, right = self.left, self.right
+        order = [self.root]
+        for v in order:  # level by level, parents before children
+            if left[v]:
+                order.append(left[v])
+            if right[v]:
+                order.append(right[v])
+        order.reverse()
+        return order
 
     def _recompute_heights(self) -> None:
         if self.hgt is None:
             self.hgt = [-1] + [0] * self.n
-        left, right = self.left, self.right
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            if left[v]:
-                stack.append(left[v])
-            if right[v]:
-                stack.append(right[v])
-        hgt = self.hgt
-        for v in reversed(order):
+        hgt, left, right = self.hgt, self.left, self.right
+        for v in self._postorder():
             a, b = hgt[left[v]], hgt[right[v]]
             hgt[v] = (a if a > b else b) + 1
 

@@ -27,16 +27,17 @@ payload slots, and ``rotate_up(v)``, which rotates v over its parent keeping
 ``wsub`` current. A pop-tart built without an engine owns a
 ``StandaloneEngine``, materializes its own nodes with synthesized keys
 (decreasing in the normal orientation) and accounts every finger move and
-rotation. A pop-tart given an engine is embedded: the simulator passes
-itself, the stack's elements are already linked into its tree, and only the
-rebalancing runs here.
+rotation, and tracks the stack's slack through leaf scores and one climb.
+A pop-tart given an engine is embedded: the simulator passes itself, the
+stack's elements are already linked into its tree, and only the rebalancing
+runs here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import _L, _P, _R, _U, IllegalOpError, rotate_edge, walk_ops
 
@@ -81,21 +82,26 @@ class StandaloneEngine:
     Node ids are small ints; id 0 is the absent link. The leaves are the
     nodes in ``leaf_rec``, each mapped to its pushed record. Every finger
     move and rotation appends its op code to the ``ops`` bytearray.
+
+    A leaf of weight w scores ``coef*log2(w)``, any other node -inf, and
+    ``aug[v]`` is the greatest score plus depth below v, so the root's is
+    the stack's slack; :meth:`climb` keeps it exact after a push or rotation.
     """
 
-    def __init__(self, leaf_score_coef: float = 0.0):
+    def __init__(self, coef: float):
         self.left = [0]
         self.right = [0]
         self.parent = [0]
         self.weight = [0.0]
         self.wsub = [0.0]
         self.key = [0]
-        self.aug = [float("-inf")]  # max over subtree leaves of reldepth + coef*log2(w)
+        self.score = [float("-inf")]
+        self.aug = [float("-inf")]
         self.leaf_rec: dict[int, PopTartLeaf] = {}
         self.root = 0
         self.finger = 0
         self.ops = bytearray()
-        self.coef = leaf_score_coef
+        self.coef = coef
         self.keys_used = 0
         self.total_leaf_weight = 0.0
 
@@ -110,7 +116,9 @@ class StandaloneEngine:
         self.weight.append(weight)
         self.wsub.append(weight)
         self.key.append(key)
-        self.aug.append(self.coef * math.log2(weight) if rec is not None else float("-inf"))
+        score = self.coef * math.log2(weight) if rec is not None else float("-inf")
+        self.score.append(score)
+        self.aug.append(score)
         v = len(self.left) - 1
         if rec is not None:
             self.leaf_rec[v] = rec
@@ -128,46 +136,27 @@ class StandaloneEngine:
         if not self.parent[v]:
             raise IllegalOpError(_U, v, "rotate at root")
         p = rotate_edge(self.left, self.right, self.parent, v)
-        g = self.parent[v]
-        if not g:
+        if not self.parent[v]:
             self.root = v
         self.ops.append(_U)
-        # local weight and slack maintenance; the region root changed identity,
-        # so both rotated nodes are refreshed before the early-exit climb
-        self.wsub[v] = self.wsub[p]
-        self._refresh(p)
-        self.aug[v] = self._aug_of(v)
-        self._refresh_aug_up(g)
+        wsub = self.wsub
+        wsub[v] = wsub[p]
+        wsub[p] = self.weight[p] + wsub[self.left[p]] + wsub[self.right[p]]
+        self.climb((p, v))
 
-    def _aug_of(self, v: int) -> float:
-        a = self.coef * math.log2(self.weight[v]) if v in self.leaf_rec else float("-inf")
-        l, r = self.left[v], self.right[v]
-        if l and self.aug[l] + 1 > a:
-            a = self.aug[l] + 1
-        if r and self.aug[r] + 1 > a:
-            a = self.aug[r] + 1
-        return a
-
-    def _refresh(self, v: int) -> None:
-        w = self.weight[v]
-        l, r = self.left[v], self.right[v]
-        if l:
-            w += self.wsub[l]
-        if r:
-            w += self.wsub[r]
-        self.wsub[v] = w
-        self.aug[v] = self._aug_of(v)
-
-    def _refresh_aug_up(self, v: int) -> None:
+    def climb(self, nodes: Iterable[int]) -> None:
+        """Recompute ``aug`` at ``nodes``, listed children before parents, then
+        climb from the last one's parent until a value comes out unchanged."""
+        aug, score, left, right, parent = self.aug, self.score, self.left, self.right, self.parent
+        for v in nodes:
+            aug[v] = max(score[v], aug[left[v]] + 1, aug[right[v]] + 1)
+        v = parent[v]
         while v:
-            a = self._aug_of(v)
-            if self.aug[v] == a:
+            a = max(score[v], aug[left[v]] + 1, aug[right[v]] + 1)
+            if aug[v] == a:
                 return
-            self.aug[v] = a
-            v = self.parent[v]
-
-    def return_to_root(self) -> None:
-        self.walk_to(self.root)
+            aug[v] = a
+            v = parent[v]
 
     def leaf_depth(self, lf: int) -> int:
         d = 0
@@ -175,10 +164,6 @@ class StandaloneEngine:
             lf = self.parent[lf]
             d += 1
         return d
-
-    def max_leaf_slack(self) -> float:
-        """max over leaves of depth + coef*log2(w); -inf when empty."""
-        return self.aug[self.root] if self.root else float("-inf")
 
     def in_order_keys(self) -> list[int]:
         out: list[int] = []
@@ -215,10 +200,12 @@ class _PopTartBase:
     read the side lists chosen at construction.
     """
 
-    def __init__(self, mirror: bool = False, leaf_score_coef: float = 0.0, engine=None):
+    leaf_score_coef: float  # each kind's StandaloneEngine.coef
+
+    def __init__(self, mirror: bool = False, engine=None):
         self.embedded = engine is not None
         if engine is None:
-            engine = StandaloneEngine(leaf_score_coef)
+            engine = StandaloneEngine(self.leaf_score_coef)
         self.engine = engine
         self.mirror = mirror
         self._pside = engine.right if mirror else engine.left
@@ -254,12 +241,13 @@ class _PopTartBase:
             self._sside[e] = old
             eng.parent[old] = e
             eng.ops.append(_P)  # the finger climbs onto the newly arrived parent
-        eng._refresh(e)
+        eng.wsub[e] = eng.weight[e] + eng.wsub[lf] + eng.wsub[old]
+        eng.climb((e,))
         eng.root = eng.finger = e
         eng.total_leaf_weight += leaf.weight
         self._note_arrival(e)
         self._push_fixup()
-        eng.return_to_root()
+        eng.walk_to(eng.root)
         self.size += 1
         return len(eng.ops) - start
 
@@ -284,7 +272,7 @@ class _PopTartBase:
         eng.total_leaf_weight -= rec.weight
         self._note_extraction()
         self._pop_restore()
-        eng.return_to_root()
+        eng.walk_to(eng.root)
         self.size -= 1
         return rec, len(eng.ops) - start
 
@@ -297,7 +285,8 @@ class _PopTartBase:
         return [(eng.weight[lf], eng.leaf_depth(lf)) for lf in eng.leaf_rec]
 
     def max_leaf_slack(self) -> float:
-        return self.engine.max_leaf_slack()
+        """max over leaves of depth + coef*log2(w); -inf when empty."""
+        return self.engine.aug[self.engine.root]
 
     # hooks
     def _note_arrival(self, elem: int) -> None:
@@ -316,8 +305,10 @@ class _PopTartBase:
 class VanillaPopTart(_PopTartBase):
     """No rebalancing; push and pop cost O(1) each."""
 
+    leaf_score_coef = 1.0
+
     def __init__(self, mirror: bool = False):
-        super().__init__(mirror, leaf_score_coef=1.0)
+        super().__init__(mirror)
         self.elems: list[int] = []
 
     def _note_arrival(self, elem: int) -> None:
@@ -352,8 +343,10 @@ class VanillaPopTart(_PopTartBase):
 class CherryPopTart(_PopTartBase):
     """Layered spine with perfect 2^i-leaf crumbs; unit-weight stack."""
 
+    leaf_score_coef = 0.0
+
     def __init__(self, mirror: bool = False):
-        super().__init__(mirror, leaf_score_coef=0.0)
+        super().__init__(mirror)
         self.layers: list[list[int]] = []
 
     def _note_arrival(self, elem: int) -> None:
@@ -432,8 +425,10 @@ class ChocolatePopTart(_PopTartBase):
     counts as the bottom of the topmost layer's icing.
     """
 
+    leaf_score_coef = 7.0
+
     def __init__(self, mirror: bool = False, engine=None):
-        super().__init__(mirror, leaf_score_coef=7.0, engine=engine)
+        super().__init__(mirror, engine)
         self.layers: list[_Layer] = []
         self.frozen: dict[int, list[_Layer]] = {}
         self.base = 0
@@ -692,7 +687,8 @@ def _check_inorder(pt: _PopTartBase, rep: InvariantReport) -> None:
         rep.fail("symmetric key order broken")
 
 
-def _crumb_height(eng: StandaloneEngine, v: int) -> int:
+# the crumb helpers take any engine, standalone or the simulator
+def _crumb_height(eng, v: int) -> int:
     if not v or eng.is_leaf(v):
         return 0
     hl = _crumb_height(eng, eng.left[v])
@@ -702,7 +698,7 @@ def _crumb_height(eng: StandaloneEngine, v: int) -> int:
     return hl + 1
 
 
-def _crumb_slots(eng: StandaloneEngine, v: int) -> int:
+def _crumb_slots(eng, v: int) -> int:
     # an absent child inside a crumb is an empty payload slot
     if not v or eng.is_leaf(v):
         return 1
@@ -710,7 +706,7 @@ def _crumb_slots(eng: StandaloneEngine, v: int) -> int:
 
 
 def _check_crumb(
-    eng: StandaloneEngine, c: int, level: int, rep: InvariantReport, where: str,
+    eng, c: int, level: int, rep: InvariantReport, where: str,
     allow_empty: bool = False,
 ) -> None:
     if not c:
@@ -724,7 +720,7 @@ def _check_crumb(
         rep.fail(f"{where}: crumb has {n} slots, expected {1 << level}")
 
 
-def _dump_crumb(eng: StandaloneEngine, c: int, level: int, out: list[str], pad: str) -> None:
+def _dump_crumb(eng, c: int, level: int, out: list[str], pad: str) -> None:
     if not c:
         return
     if eng.is_leaf(c):

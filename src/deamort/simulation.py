@@ -37,19 +37,18 @@ from .poptart import ChocolatePopTart
 from .restructure import LazyRestructuring
 
 
-class VirtualTree:
-    """Shadow copy of the wrapped algorithm's tree with weight bookkeeping."""
+class VirtualTree(ModelTree):
+    """Shadow copy of the wrapped algorithm's tree, finger included, with
+    weight bookkeeping: per-node weights ``w``, subtree weights ``wsub`` and
+    each non-leaf's ``solid`` child, the one with the larger subtree weight
+    (ties go left)."""
 
-    __slots__ = ("n", "left", "right", "parent", "root", "finger", "w", "wsub", "solid")
+    __slots__ = ("w", "wsub", "solid")
 
     def __init__(self, tree: ModelTree, weights: Optional[Sequence[float]] = None):
-        n = tree.n
-        self.n = n
-        self.left = tree.left[:]
-        self.right = tree.right[:]
-        self.parent = tree.parent[:]
-        self.root = tree.root
+        self._link(tree.left[:], tree.right[:], tree.parent[:], tree.root)
         self.finger = tree.finger
+        n = self.n
         if weights is None:
             self.w = [0.0] + [1.0] * n
         else:
@@ -60,30 +59,14 @@ class VirtualTree:
             self.w = [0.0] + [float(x) for x in weights]
         self.wsub = [0.0] * (n + 1)
         self.solid = [0] * (n + 1)
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            if self.left[v]:
-                stack.append(self.left[v])
-            if self.right[v]:
-                stack.append(self.right[v])
-        for v in reversed(order):
+        for v in self._postorder():
             self.wsub[v] = self.w[v] + self.wsub[self.left[v]] + self.wsub[self.right[v]]
             self._resolve_solid(v)
 
     def _resolve_solid(self, v: int) -> None:
+        # weights are positive and wsub[0] is 0, so a leaf resolves to 0
         l, r = self.left[v], self.right[v]
-        if not l and not r:
-            self.solid[v] = 0
-        elif self.wsub[l] >= self.wsub[r]:
-            self.solid[v] = l
-        else:
-            self.solid[v] = r
-
-    def total_weight(self) -> float:
-        return self.wsub[self.root]
+        self.solid[v] = l if self.wsub[l] >= self.wsub[r] else r
 
     def heavy_path(self, v: int) -> list[int]:
         """The solid path from v down to the leaf that ends it."""
@@ -93,10 +76,9 @@ class VirtualTree:
         return path
 
     def apply_rotation(self) -> int:
-        """Rotate the virtual finger over its parent; returns the old parent."""
+        """Rotate the virtual finger, which must not be the root, over its
+        parent; returns the old parent."""
         x = self.finger
-        if not self.parent[x]:
-            raise IllegalOpError(_U, x, "virtual finger at root")
         p = rotate_edge(self.left, self.right, self.parent, x)
         g = self.parent[x]
         if not g:
@@ -107,6 +89,8 @@ class VirtualTree:
         self._resolve_solid(x)
         if g and self.solid[g] == p:
             self.solid[g] = x
+        if self._stale is not None:
+            self.mark_stale((p, x))
         return p
 
 
@@ -491,7 +475,7 @@ class Simulator(LazyRestructuring):
         """Keys whose physical depth exceeds mult*log2(W/w) + add."""
         from math import log2
 
-        W = self.vt.total_weight()
+        W = self.vt.wsub[self.vt.root]
         bad = []
         pt = self.pt
         stack = [(pt.root, 0)]

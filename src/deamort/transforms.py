@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 from .algorithms import OnlineBstAlgorithm
 from .constants import FROZEN
-from .model import _P, ModelTree, descend
+from .model import ModelTree, descend
 
 
 class GuaranteeViolation(RuntimeError):
@@ -229,9 +229,10 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         ops = self.trace.ops
         start = len(ops)
         if self._pending_up:
-            for _ in range(self._pending_up):
-                t.apply_op(_P)
+            if t.depth(t.finger) != self._pending_up:
+                raise GuaranteeViolation(f"the walk up from {t.finger} is not {self._pending_up} P moves")
             ops += bytes(self._pending_up)  # P moves
+            t.finger = t.root
             self._pending_up = 0
         ran = ""
         q = self.queue

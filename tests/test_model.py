@@ -524,7 +524,7 @@ def test_height_tracking_matches_scan():
 _STEP = st.one_of(
     st.tuples(st.just("ops"), st.integers(1, 30)),
     st.tuples(st.sampled_from(["splay", "mtr"]), st.integers(1, 40)),
-    st.just(("read", 0)),
+    st.tuples(st.just("read"), st.booleans()),
 )
 
 
@@ -547,6 +547,8 @@ def test_deferred_heights_match_full_recompute(n, shape, seed, steps):
             if n > 1:
                 _random_legal_walk(t, rng, arg)
         elif kind == "read":
+            if arg and t._stale:
+                rng.shuffle(t._stale)  # the settle is exact in any order
             _check_settled(t)
         else:
             alg = (SplayAlgorithm if kind == "splay" else MoveToRootAlgorithm)(t)

@@ -215,9 +215,12 @@ def test_chocolate_depth_bound_random_weighted():
                     assert d <= 6 + 7 * math.log2(W / lw) + 1e-9, (trial, live)
 
 
-def test_chocolate_slack_tracker_matches_scan():
+@pytest.mark.parametrize("kind", ["chocolate", "cherry"])
+def test_chocolate_slack_tracker_matches_scan(kind):
+    """The engine's climbed leaf scores match a scan of every leaf: the
+    chocolate slack with weighted leaves, the cherry height with unit ones."""
     rng = random.Random(6)
-    pt = ChocolatePopTart()
+    pt = make_poptart(kind)
     live, nid = 0, 0
     for _ in range(500):
         if live and rng.random() < 0.4:
@@ -225,11 +228,14 @@ def test_chocolate_slack_tracker_matches_scan():
             live -= 1
         else:
             nid += 1
-            pt.push(_leaf(nid, math.exp(rng.uniform(0, 8))))
+            pt.push(_leaf(nid, math.exp(rng.uniform(0, 8)) if kind == "chocolate" else 1.0))
             live += 1
         if live:
-            scan = max(d + 7 * math.log2(w) for w, d in pt.leaf_depths())
-            assert abs(pt.max_leaf_slack() - scan) < 1e-6
+            if kind == "cherry":
+                assert pt.height() == max(d for _, d in pt.leaf_depths())
+            else:
+                scan = max(d + 7 * math.log2(w) for w, d in pt.leaf_depths())
+                assert abs(pt.max_leaf_slack() - scan) < 1e-6
 
 
 def test_chocolate_frost_on_heavy_successor():

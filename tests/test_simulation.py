@@ -403,6 +403,9 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
         errs = sim.check_state()
         assert not errs, errs
         _assert_heights_exact(sim.pt)
+        assert (sim.vt.left, sim.vt.right, sim.vt.root) == (ref.left, ref.right, ref.root)
+        assert sim.vt.check_bst()
+        assert sim.vt.height() == ref.height() and sim.vt.hgt == ref.hgt
         assert decode_virtual(sim) == (ref.left, ref.right, ref.root)
         assert sim.pt.root == ref.finger
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)

@@ -2,12 +2,12 @@
 
 Each analogue runs splay through the same chain, start shape and weight
 kind as the benchmark workload it is named after, on a fixed small input
-and seed. Only the access loop is counted, as ``run_experiment`` runs it:
-one ``access`` per key plus the height probe; building the chain and
-verifying the trace are left out. A count is the number of ``opcode``
-events ``sys.settrace`` delivers, so it depends on the program and the
-Python version, never on the host's speed: two runs of one checkout on one
-interpreter print the same line.
+and seed. Only the access loop is counted: ``experiments.run_accesses``,
+the function ``run_experiment`` calls, with one ``access`` per key plus the
+height probe; building the chain and verifying the trace are left out. A
+count is the number of ``opcode`` events ``sys.settrace`` delivers, so it
+depends on the program and the Python version, never on the host's speed:
+two runs of one checkout on one interpreter print the same line.
 
 Usage, from the repository root::
 
@@ -27,7 +27,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from deamort.experiments import build_chain  # noqa: E402
+from deamort.experiments import build_chain, run_accesses  # noqa: E402
 from deamort.model import ModelTree  # noqa: E402
 from deamort.sequences import SequenceSpec, gen_sequence  # noqa: E402
 
@@ -47,29 +47,12 @@ def _weights(n: int, seed: int) -> list[float]:
     return [math.exp(rng.uniform(0, 12)) for _ in range(n)]
 
 
-def _access_loop(alg, sim, seq) -> None:
-    """The access loop of ``run_experiment``."""
-    max_depth = 0
-    probe = max(1, len(seq) // 64)
-    for i, k in enumerate(seq):
-        alg.access(k)
-        if sim is not None:
-            h = sim.pt.hgt[sim.pt.root]
-            if h > max_depth:
-                max_depth = h
-        elif i % probe == 0:
-            h = alg.tree.height()
-            if h > max_depth:
-                max_depth = h
-
-
 def count(name: str) -> int:
     """Bytecodes executed by the access loop of one analogue."""
     chain, kind, n, m, shape, lazy, weighted = ANALOGUES[name]
     seq = gen_sequence(SequenceSpec(kind, n, m, SEED))
     weights = _weights(n, SEED) if weighted else None
     alg = build_chain("splay", chain, ModelTree.new_tree(n, shape), weights, lazy)
-    sim = getattr(alg, "sim", None) or getattr(getattr(alg, "inner", None), "sim", None)
     events = 0
 
     def local(frame, event, arg):
@@ -85,7 +68,7 @@ def count(name: str) -> int:
 
     sys.settrace(on_call)
     try:
-        _access_loop(alg, sim, seq)
+        run_accesses(alg, seq)
     finally:
         sys.settrace(None)
     return events
