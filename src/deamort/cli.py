@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import click
 
+from .algorithms import ALGORITHMS
 from .experiments import CHAINS, run_experiment
 from .model import ModelTree, Trace, verify_trace
 from .optsearch import opt_bruteforce
@@ -27,11 +29,26 @@ def main() -> None:
     optimum search, and trace verification."""
 
 
-def _spec(seq: str, n: int, m: int, seed: int) -> SequenceSpec:
+_SHAPES = ("balanced", "linear-left", "linear-right")
+
+
+@contextmanager
+def _usage(param: str | None = None):
+    """Report a ValueError raised inside as a usage error (exit 2)."""
     try:
-        return SequenceSpec(seq, n, m, seed)
+        yield
     except ValueError as e:
-        raise click.BadParameter(str(e)) from None
+        raise click.BadParameter(str(e), param_hint=param) from None
+
+
+def _spec(seq: str, n: int, m: int, seed: int) -> SequenceSpec:
+    with _usage():
+        return SequenceSpec(seq, n, m, seed)
+
+
+def _keys(keys: str) -> list[int]:
+    with _usage("--keys"):
+        return [int(k) for k in keys.split(",") if k]
 
 
 @main.command()
@@ -47,13 +64,13 @@ def gen(seq, n, m, seed, out):
 
 
 @main.command()
-@click.option("--algo", default="splay", help="splay | mtr | static")
+@click.option("--algo", default="splay", type=click.Choice(sorted(ALGORITHMS)))
 @click.option("--chain", default="none", type=click.Choice(CHAINS))
 @click.option("--seq", default="uniform")
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--shape", default="balanced", help="balanced | linear-left | linear-right")
+@click.option("--shape", default="balanced", type=click.Choice(_SHAPES))
 @click.option("--lazy", is_flag=True, help="keep the start tree; restructure on first descent")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", default=None)
@@ -66,14 +83,15 @@ def run(algo, chain, seq, n, m, seed, shape, lazy, fmt, out):
 
 @main.command()
 @click.option("--n", type=int, required=True)
-@click.option("--shape", default="balanced")
+@click.option("--shape", default="balanced", type=click.Choice(_SHAPES))
 @click.option("--keys", required=True, help="comma-separated access sequence")
 @click.option("--out", default=None)
 def opt(n, shape, keys, out):
     """Exact minimum realization cost (n <= 6, m <= 6)."""
-    seq = [int(k) for k in keys.split(",") if k]
-    t0 = ModelTree.new_tree(n, shape)
-    _write(f"{opt_bruteforce(t0, seq)}\n", out)
+    seq = _keys(keys)
+    with _usage():
+        cost = opt_bruteforce(ModelTree.new_tree(n, shape), seq)
+    _write(f"{cost}\n", out)
 
 
 @main.command()
@@ -96,11 +114,11 @@ def compare(reports, plot, out):
 @click.option("--first-visit", is_flag=True, help="ignore # markers; use first visits")
 def verify(tree_path, trace_path, keys, first_visit):
     """Replay a trace against a start tree and an access sequence."""
-    with open(tree_path) as fh:
+    with open(tree_path) as fh, _usage("--tree"):
         t0 = ModelTree.from_text(fh.read())
-    with open(trace_path) as fh:
+    with open(trace_path) as fh, _usage("--trace"):
         tr = Trace.from_text(fh.read())
-    seq = [int(k) for k in keys.split(",") if k]
+    seq = _keys(keys)
     if first_visit:
         tr = Trace(tr.ops)
     rep = verify_trace(t0, tr, seq)

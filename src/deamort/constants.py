@@ -121,11 +121,12 @@ def calibrate(seed: int = 0) -> dict[str, float]:
     ratios = []
 
     class Probe(Simulator):
-        def _restructure(self, c: int) -> None:
+        def _restructure(self, c: int) -> int:
             k = len(self.vt.heavy_path(c))
             before = self.counters.restructure_ops
-            super()._restructure(c)
+            x = super()._restructure(c)
             ratios.append((self.counters.restructure_ops - before) / k)
+            return x
 
     # random legal virtual-op streams from random insertion-order shapes
     for run in range(600):

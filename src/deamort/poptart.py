@@ -20,17 +20,22 @@ Three variants are provided:
   each live successor layer weighs less than the icing beside it. Keeps every
   leaf of weight w at depth <= 6 + 7*log2(W/w) for arbitrary weights.
 
+Each kind speaks one stack protocol, defined in its own class:
+``push_arrived(elem)`` once elem is the stack root with its payload in place,
+``pop_extracted()`` once the top element has been rotated out. Both keep
+``size`` and rebalance; a chocolate stack also owns its ``base``, set on the
+push into an empty stack and cleared by the pop that empties it.
+
 The structure logic reaches the tree through one small engine contract: the
 link and weight arrays ``left``, ``right``, ``parent``, ``weight``, ``wsub``
 and ``key`` (entry 0 is the absent node and weighs 0), ``is_leaf(v)`` for the
 payload slots, and ``rotate_up(v)``, which rotates v over its parent keeping
 ``wsub`` current. A pop-tart built without an engine owns a
-``StandaloneEngine``, materializes its own nodes with synthesized keys
-(decreasing in the normal orientation) and accounts every finger move and
-rotation, and tracks the stack's slack through leaf scores and one climb.
-A pop-tart given an engine is embedded: the simulator passes itself, the
-stack's elements are already linked into its tree, and only the rebalancing
-runs here.
+``StandaloneEngine``; its ``push`` and ``pop`` create or detach an element
+with synthesized keys (decreasing in the normal orientation) around the
+protocol, and the engine accounts every finger move and rotation and tracks
+the stack's slack. A pop-tart given an engine is embedded: the simulator
+passes itself, moves the elements in its own tree and calls the protocol.
 """
 
 from __future__ import annotations
@@ -197,7 +202,9 @@ class _PopTartBase:
     ``rotate_up(v)``, which rotates v over its parent and keeps ``wsub``
     current. The orientation lives here: ``mirror`` puts the payloads on the
     right and the rest of the stack on the left, and ``pchild``/``schild``
-    read the side lists chosen at construction.
+    read the side lists chosen at construction. Each kind defines
+    ``push_arrived`` and ``pop_extracted`` itself; :meth:`push` and
+    :meth:`pop` only create or detach the element around them.
     """
 
     leaf_score_coef: float  # each kind's StandaloneEngine.coef
@@ -245,10 +252,8 @@ class _PopTartBase:
         eng.climb((e,))
         eng.root = eng.finger = e
         eng.total_leaf_weight += leaf.weight
-        self._note_arrival(e)
-        self._push_fixup()
+        self.push_arrived(e)
         eng.walk_to(eng.root)
-        self.size += 1
         return len(eng.ops) - start
 
     def pop(self) -> tuple[PopTartLeaf, int]:
@@ -270,10 +275,8 @@ class _PopTartBase:
             eng.parent[nxt] = 0
         eng.root = eng.finger = nxt
         eng.total_leaf_weight -= rec.weight
-        self._note_extraction()
-        self._pop_restore()
+        self.pop_extracted()
         eng.walk_to(eng.root)
-        self.size -= 1
         return rec, len(eng.ops) - start
 
     def total_weight(self) -> float:
@@ -288,19 +291,6 @@ class _PopTartBase:
         """max over leaves of depth + coef*log2(w); -inf when empty."""
         return self.engine.aug[self.engine.root]
 
-    # hooks
-    def _note_arrival(self, elem: int) -> None:
-        raise NotImplementedError
-
-    def _note_extraction(self) -> None:
-        raise NotImplementedError
-
-    def _push_fixup(self) -> None:
-        pass
-
-    def _pop_restore(self) -> None:
-        pass
-
 
 class VanillaPopTart(_PopTartBase):
     """No rebalancing; push and pop cost O(1) each."""
@@ -311,11 +301,13 @@ class VanillaPopTart(_PopTartBase):
         super().__init__(mirror)
         self.elems: list[int] = []
 
-    def _note_arrival(self, elem: int) -> None:
+    def push_arrived(self, elem: int) -> None:
         self.elems.insert(0, elem)
+        self.size += 1
 
-    def _note_extraction(self) -> None:
+    def pop_extracted(self) -> None:
         self.elems.pop(0)
+        self.size -= 1
 
     def check_invariants(self) -> InvariantReport:
         rep = InvariantReport(True)
@@ -349,12 +341,11 @@ class CherryPopTart(_PopTartBase):
         super().__init__(mirror)
         self.layers: list[list[int]] = []
 
-    def _note_arrival(self, elem: int) -> None:
+    def push_arrived(self, elem: int) -> None:
         if not self.layers:
             self.layers.append([])
         self.layers[0].insert(0, elem)
-
-    def _push_fixup(self) -> None:
+        self.size += 1
         eng = self.engine
         i = 0
         while i < len(self.layers) and len(self.layers[i]) == 4:
@@ -367,21 +358,17 @@ class CherryPopTart(_PopTartBase):
             self.layers[i + 1].insert(0, r4)
             i += 1
 
-    def _note_extraction(self) -> None:
+    def pop_extracted(self) -> None:
         self.layers[0].pop(0)
-
-    def _pop_restore(self) -> None:
+        self.size -= 1
         eng = self.engine
         i = 0
-        while i < len(self.layers) and not self.layers[i]:
-            if i + 1 < len(self.layers) and self.layers[i + 1]:
-                v = self.layers[i + 1].pop(0)
-                c = self.pchild(v)
-                eng.rotate_up(c)  # splits v's crumb into two layer-i nodes
-                self.layers[i] = [c, v]
-                i += 1
-            else:
-                break
+        while i + 1 < len(self.layers) and not self.layers[i] and self.layers[i + 1]:
+            v = self.layers[i + 1].pop(0)
+            c = self.pchild(v)
+            eng.rotate_up(c)  # splits v's crumb into two layer-i nodes
+            self.layers[i] = [c, v]
+            i += 1
         while self.layers and not self.layers[-1]:
             self.layers.pop()
 
@@ -420,9 +407,10 @@ class CherryPopTart(_PopTartBase):
 class ChocolatePopTart(_PopTartBase):
     """Layers with next nodes and icings; crazy good for arbitrary weights.
 
-    ``base`` is the original empty-stack leaf. Standalone stacks have none
-    (0); an embedded stack may sit on top of an opaque subtree whose weight
-    counts as the bottom of the topmost layer's icing.
+    ``base`` is the original empty-stack leaf, the stack-side child of the
+    first element pushed, until the stack empties. Standalone stacks have
+    none (0); an embedded stack may sit on top of an opaque subtree whose
+    weight counts as the bottom of the topmost layer's icing.
     """
 
     leaf_score_coef = 7.0
@@ -434,24 +422,6 @@ class ChocolatePopTart(_PopTartBase):
         self.base = 0
 
     # -- structure bookkeeping ------------------------------------------------
-
-    def _note_arrival(self, elem: int) -> None:
-        if not self.layers:
-            self.layers.append(_Layer(regs=[]))
-        self.layers[0].regs.insert(0, elem)
-
-    def push_arrived(self, elem: int) -> None:
-        """Embedded entry point: ``elem`` is already the stack root with its
-        payload slot in place; run bookkeeping and the rebalance cascade."""
-        self._note_arrival(elem)
-        self._push_fixup()
-        self.size += 1
-
-    def pop_extracted(self) -> None:
-        """Embedded entry point: the top element was already rotated out."""
-        self._note_extraction()
-        self._pop_restore()
-        self.size -= 1
 
     def top_element(self) -> int:
         return self.layers[0].regs[0] if self.layers else 0
@@ -470,7 +440,13 @@ class ChocolatePopTart(_PopTartBase):
             return lay.icing_base
         return self.base if self.layers and lay is self.layers[0] else 0
 
-    def _push_fixup(self) -> None:
+    def push_arrived(self, elem: int) -> None:
+        if not self.size:
+            self.base = self.schild(elem)
+        if not self.layers:
+            self.layers.append(_Layer(regs=[]))
+        self.layers[0].regs.insert(0, elem)
+        self.size += 1
         eng = self.engine
         i = 0
         while i < len(self.layers) and len(self.layers[i].regs) == 4:
@@ -502,33 +478,42 @@ class ChocolatePopTart(_PopTartBase):
         lay.icing.insert(0, nx)
         lay.thaw_debt = False
 
-    def _note_extraction(self) -> None:
+    def pop_extracted(self) -> None:
         self.layers[0].regs.pop(0)
+        self._pop_restore(0)
+        self.size -= 1
+        if not self.size:
+            self.base = 0
 
-    def _pop_restore(self, start: int = 0) -> None:
+    def _split_down(self, lay: _Layer, nxt: _Layer) -> None:
+        """Pull layer ``nxt``'s top node v down into the empty ``lay``,
+        splitting v's crumb in two around v's payload child c."""
         eng = self.engine
+        v = nxt.regs.pop(0)
+        eng.rotate_up(v)
+        c = self.pchild(v)
+        eng.rotate_up(c)
+        lay.regs = [c, v]
+
+    def _defrost(self, lay: _Layer, c: int, top: int) -> None:
+        """Rotate the lone frozen crumb c over ``top``; both fill ``lay``."""
+        self.engine.rotate_up(c)
+        lay.regs = [c, top]
+
+    def _pop_restore(self, start: int) -> None:
         i = start
         while i < len(self.layers) and not self.layers[i].regs:
             lay = self.layers[i]
             if lay.next_node:
                 nxt = self.layers[i + 1]
                 if nxt.regs:
-                    # pull one node down a layer, splitting its crumb in two
-                    v = nxt.regs.pop(0)
-                    eng.rotate_up(v)
-                    c = self.pchild(v)
-                    eng.rotate_up(c)
-                    lay.regs = [c, v]
+                    self._split_down(lay, nxt)
                     i += 1
                 else:
-                    # successor is a lone frozen crumb: defrost it in place
                     if nxt.next_node or nxt.icing or not nxt.icing_base:
                         raise PopTartStructureError(
                             f"layer {i + 1} has no regular nodes but is not a lone frozen crumb")
-                    nx = lay.next_node
-                    c = nxt.icing_base
-                    eng.rotate_up(c)
-                    lay.regs = [c, nx]
+                    self._defrost(lay, nxt.icing_base, lay.next_node)
                     lay.next_node = 0
                     self.layers.pop(i + 1)
                     break
@@ -546,17 +531,12 @@ class ChocolatePopTart(_PopTartBase):
 
     def _thaw(self, i: int) -> None:
         """Pop the top frosted subtree of the last layer's icing back to life."""
-        eng = self.engine
         lay = self.layers[i]
         e = lay.icing.pop(0)
         suffix = self.frozen.pop(e)
         first = suffix[0]
         if first.regs:
-            v = first.regs.pop(0)
-            eng.rotate_up(v)
-            c = self.pchild(v)
-            eng.rotate_up(c)
-            lay.regs = [c, v]
+            self._split_down(lay, first)
             lay.next_node = e
             lay.thaw_debt = True
             self.layers[i + 1:] = suffix
@@ -567,9 +547,7 @@ class ChocolatePopTart(_PopTartBase):
             if len(suffix) != 1 or not first.icing_base or first.next_node:
                 raise PopTartStructureError(
                     f"frosted element {e} guards no regular nodes but is not a lone crumb")
-            c = first.icing_base
-            eng.rotate_up(c)
-            lay.regs = [c, e]
+            self._defrost(lay, first.icing_base, e)
 
     # -- queries ---------------------------------------------------------------
 
@@ -577,11 +555,23 @@ class ChocolatePopTart(_PopTartBase):
         rep = InvariantReport(True)
         eng = self.engine
         _check_inorder(self, rep)
+        top = 0
         if self.layers:
             top = self._layer_top(self.layers[0])
             if not self.embedded and eng.root != top:
                 rep.fail(f"stack top {top} is not the tree root {eng.root}")
             self._check_layers(self.layers, rep, top, base=0, frozen_head=False)
+        if not self.size and self.base:
+            rep.fail(f"empty stack still records base {self.base}")
+        # each non-leaf node from the top down to the base is one element
+        count, todo = 0, [top]
+        while todo:
+            v = todo.pop()
+            if v and v != self.base and not eng.is_leaf(v):
+                count += 1
+                todo += eng.left[v], eng.right[v]
+        if count != self.size:
+            rep.fail(f"{count} elements under the stack top, size {self.size}")
         return rep
 
     def _check_layers(

@@ -22,8 +22,9 @@ class LazyRestructuring:
     which it mixes in; it works on the simulator's link arrays, raw set,
     block builder and counted ``rotate_up``."""
 
-    def _restructure(self, c: int) -> None:
-        """Convert a still-original subtree into block form with counted ops.
+    def _restructure(self, c: int) -> int:
+        """Convert a still-original subtree into block form with counted ops;
+        returns the block's root, which takes c's place.
 
         The block builder runs silently on the live arrays to find the
         target shape T. T is rotated silently into a canonical shape V while
@@ -38,7 +39,6 @@ class LazyRestructuring:
         restructure costs O(k) ops."""
         self.raw.discard(c)
         del self.blocks[c]
-        self.entry.pop(c, None)
         vt = self.vt
         path = vt.heavy_path(c)
         k = len(path)
@@ -47,7 +47,7 @@ class LazyRestructuring:
             # a virtual leaf is its own block; nothing moves
             self._build_block(c)
             self._building = False
-            return
+            return c
         left, right, parent, wsub = self.left, self.right, self.parent, self.wsub
         # the builder writes only to c's heavy path and the roots hanging off it
         hangs = [h for u in path for h in (vt.left[u], vt.right[u]) if h and h != vt.solid[u]]
@@ -90,6 +90,7 @@ class LazyRestructuring:
                     todo.append(ch)
         self._climb_heights(reversed(order))
         self.counters.restructure_ops += len(self.trace.ops) - before
+        return x
 
     def _spine(self, v: int, links: list[int]) -> int:
         """Path nodes met from v following ``links``, stopping at a raw root."""

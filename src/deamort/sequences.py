@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 KINDS = ("sequential", "uniform", "zipf", "working-set", "bit-reversal")
@@ -12,31 +12,29 @@ KINDS = ("sequential", "uniform", "zipf", "working-set", "bit-reversal")
 
 @dataclass
 class SequenceSpec:
-    kind: str
+    kind: str  # one of KINDS, as given: zipf:a and working-set:w keep their parameter
     n: int
     m: int
     seed: int = 0
-    alpha: float = 1.0  # zipf skew
-    width: int = 8  # working-set window
+    alpha: float = field(init=False, default=1.0)  # zipf skew
+    width: int = field(init=False, default=8)  # working-set window
 
     def __post_init__(self) -> None:
-        base = self.kind.split(":")[0]
+        base, sep, arg = self.kind.partition(":")
         if base not in KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}, have {KINDS}")
-        if ":" in self.kind:
-            arg = self.kind.split(":", 1)[1]
+        if sep:
             if base == "zipf":
                 self.alpha = float(arg)
             elif base == "working-set":
                 self.width = int(arg)
             else:
                 raise ValueError(f"kind {base} takes no parameter")
-            self.kind = base
         if self.n < 1 or self.m < 0:
             raise ValueError("need n >= 1 and m >= 0")
-        if self.kind == "bit-reversal" and self.n & (self.n - 1):
+        if base == "bit-reversal" and self.n & (self.n - 1):
             raise ValueError("bit-reversal needs n to be a power of two")
-        if self.kind == "working-set" and self.width < 1:
+        if base == "working-set" and self.width < 1:
             raise ValueError("working-set width must be positive")
 
 
@@ -54,16 +52,17 @@ def gen_sequence(spec: SequenceSpec) -> list[int]:
     n, m = spec.n, spec.m
     rng = random.Random(spec.seed)
     keys = list(range(n + 1))
-    if spec.kind == "sequential":
+    kind = spec.kind.partition(":")[0]
+    if kind == "sequential":
         return [keys[i % n + 1] for i in range(m)]
-    if spec.kind == "uniform":
+    if kind == "uniform":
         return [keys[rng.randint(1, n)] for _ in range(m)]
-    if spec.kind == "zipf":
+    if kind == "zipf":
         cum = list(accumulate(1.0 / (k ** spec.alpha) for k in range(1, n + 1)))
         total = cum[-1]
         # the leftmost key whose cumulative weight reaches x <= total
         return [keys[bisect_left(cum, rng.random() * total) + 1] for _ in range(m)]
-    if spec.kind == "working-set":
+    if kind == "working-set":
         window: list[int] = []
         out = []
         for _ in range(m):

@@ -94,10 +94,14 @@ class VirtualTree(ModelTree):
         return p
 
 
-@dataclass
+@dataclass(slots=True)
 class _BlockCtl:
+    """A block's record: the stacks of its path nodes smaller (``L``) and
+    larger (``R``) than its end, and its entry, the top of its heavy path."""
+
     L: ChocolatePopTart
     R: ChocolatePopTart
+    entry: int
 
 
 class PathStackError(RuntimeError):
@@ -148,7 +152,6 @@ class Simulator(LazyRestructuring):
         self.parent = vt.parent[:]
         self.wsub = vt.wsub[:]
         self.blocks: dict[int, _BlockCtl] = {}
-        self.entry: dict[int, int] = {}
         self.next_bit: dict[int, bool] = {}
         self.raw: set[int] = set()
         self.counters = SimCounters()
@@ -176,10 +179,7 @@ class Simulator(LazyRestructuring):
 
     def _new_block(self, x: int, entry: int) -> _BlockCtl:
         ctl = self.blocks[x] = _BlockCtl(
-            ChocolatePopTart(engine=self),
-            ChocolatePopTart(mirror=True, engine=self),
-        )
-        self.entry[x] = entry
+            ChocolatePopTart(engine=self), ChocolatePopTart(mirror=True, engine=self), entry)
         return ctl
 
     def _hang(self, c: int) -> int:
@@ -362,26 +362,17 @@ class Simulator(LazyRestructuring):
             # f joins the path; record which side its successor g lies on
             self.next_bit[prev] = f < g
         wstar = move_side.top_element()
-        if wstar:
-            xB = move_side.pchild(wstar)
-        else:
-            xB = pt.right[f] if to_right else pt.left[f]
+        xB = move_side.pchild(wstar) if wstar else (pt.right[f] if to_right else pt.left[f])
         if xB in self.raw:
-            self._restructure(xB)
-            xB = move_side.pchild(wstar) if wstar else (
-                pt.right[f] if to_right else pt.left[f])
-        if recv_side.size == 0:
-            # f's untouched slot becomes the original leaf under the stack
-            recv_side.base = pt.left[f] if to_right else pt.right[f]
+            xB = self._restructure(xB)
         self.walk_to(g)
         self._lift_to_root(g)
-        ctl = self.blocks[xB]
         if g == xB:
             del self.blocks[g]
-            self.entry.pop(g, None)
         else:
+            ctl = self.blocks[xB]
             (ctl.L if g < xB else ctl.R).pop_extracted()
-            self.entry[xB] = vt.solid[g]
+            ctl.entry = vt.solid[g]
         recv_side.push_arrived(f)
         vt.finger = g
 
@@ -400,8 +391,6 @@ class Simulator(LazyRestructuring):
         self._sink(f, (p, wstar_o) if wstar_o else (p,))
         self._reblock_isolated(f)
         zone_p.pop_extracted()
-        if zone_p.size == 0:
-            zone_p.base = 0
         vt.finger = p
 
     def _reblock_isolated(self, f: int) -> None:
@@ -416,13 +405,12 @@ class Simulator(LazyRestructuring):
         links = pt.right if on_right else pt.left
         xT = links[f]
         if xT in self.raw:
-            self._restructure(xT)
-            xT = links[f]
+            xT = self._restructure(xT)
         self.rotate_up(xT)
         ctl = self.blocks[xT]
         (ctl.L if on_right else ctl.R).push_arrived(f)
-        self.next_bit[f] = self.entry[xT] < xT
-        self.entry[xT] = f
+        self.next_bit[f] = ctl.entry < xT
+        ctl.entry = f
 
     def _vrotate(self) -> None:
         vt, pt = self.vt, self.pt
@@ -444,8 +432,6 @@ class Simulator(LazyRestructuring):
         self._climb = True
         zone_p.pop_extracted()
         u = zone_p.top_element()
-        if not u:
-            zone_p.base = 0
         self._sink(p, (f, u) if u else (f,))
         self._reblock_isolated(p)
 
@@ -613,7 +599,7 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
                     vright[holder] = b
                 copy_raw(b)
                 continue
-            ent = sim.entry.get(b, b)
+            ent = sim.blocks[b].entry
             if hi < holder:
                 vleft[holder] = ent
             else:
@@ -634,7 +620,7 @@ def dump_state(sim: Simulator) -> str:
         for line in txt.splitlines():
             out.append(f"  [{name}] " + line)
     for x in sorted(sim.blocks):
-        ent = sim.entry.get(x, x)
+        ent = sim.blocks[x].entry
         vp = vt.parent[ent]
         lab = "solid" if vp and vt.solid[vp] == ent else "dotted"
         if x in sim.raw:

@@ -72,6 +72,14 @@ def test_sequences_hold_one_int_object_per_key(kind, n, m):
     assert len({id(k) for k in seq}) == len(set(seq))
 
 
+@pytest.mark.parametrize("kind", ["zipf:1.5", "working-set:4"])
+def test_report_keeps_the_sequence_parameter(kind):
+    spec = SequenceSpec(kind, 8, 20, seed=3)
+    assert (spec.kind, spec.alpha, spec.width) == (
+        (kind, 1.5, 8) if kind.startswith("zipf") else (kind, 1.0, 4))
+    assert run_experiment("splay", "none", spec).seq_kind == kind
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         SequenceSpec("mystery", 4, 4)
@@ -265,6 +273,37 @@ def test_cli_gen_run_opt_verify(tmp_path):
     out = runner.invoke(cli_main, [
         "verify", "--tree", str(tree_path), "--trace", str(trace_path), "--keys", "1"])
     assert out.exit_code == 1
+
+    # one boundary for two accesses: invalid as marked, valid by first visits
+    trace_path.write_text("L P R #\n")
+    args = ["verify", "--tree", str(tree_path), "--trace", str(trace_path), "--keys", "1,3"]
+    assert runner.invoke(cli_main, args).exit_code == 1
+    out = runner.invoke(cli_main, [*args, "--first-visit"])
+    assert (out.exit_code, out.output) == (0, "valid: per-access costs [1, 2]\n")
+
+
+@pytest.mark.parametrize("args,bad", [
+    (["run", "--algo", "nope", "--n", "8", "--m", "4"], "--algo"),
+    (["run", "--shape", "nope", "--n", "8", "--m", "4"], "--shape"),
+    (["opt", "--n", "9", "--keys", "1,2"], "exact-search limits"),
+    (["opt", "--n", "3", "--keys", "1,x"], "--keys"),
+    (["verify", "--tree", "{tree}", "--trace", "{bad_trace}", "--keys", "1"], "--trace"),
+    (["verify", "--tree", "{bad_tree}", "--trace", "{trace}", "--keys", "1"], "--tree"),
+    (["verify", "--tree", "{tree}", "--trace", "{trace}", "--keys", "one"], "--keys"),
+], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys"])
+def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
+    """Malformed input exits 2 with a usage message, never with a traceback
+    and never with exit 1, which ``verify`` keeps for an invalid trace."""
+    files = {"tree": ModelTree.new_tree(3, "balanced").to_text(), "trace": "L #\n",
+             "bad_tree": "3\n0 1\n", "bad_trace": "L X #\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    out = CliRunner().invoke(cli_main, [a.format(**paths) for a in args])
+    assert out.exit_code == 2, out.output
+    assert isinstance(out.exception, SystemExit)
+    assert bad in out.output
 
 
 def test_cli_compare(tmp_path):

@@ -238,7 +238,7 @@ def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
     calls = []
 
     def containers(sim):
-        return sum(sys.getsizeof(c) for c in (sim.blocks, sim.entry, sim.next_bit, sim.raw))
+        return sum(sys.getsizeof(c) for c in (sim.blocks, sim.next_bit, sim.raw))
 
     def measured(sim, c):
         vt = sim.vt
@@ -251,13 +251,14 @@ def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
         run_ops, sim.trace.ops = sim.trace.ops, bytearray()
         tracemalloc.start()
         try:
-            restructure(sim, c)
+            x = restructure(sim, c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             run_ops += sim.trace.ops
             sim.trace.ops = run_ops
         calls.append((c, region, peak, containers(sim) - before))
+        return x
 
     monkeypatch.setattr(Simulator, "_restructure", measured)
     w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")), lazy=True)
@@ -335,6 +336,26 @@ def test_corrupt_path_stack_raises_named_error():
         sim.apply_virtual(BstOp.ROTATE)
 
 
+def test_stack_audit_checks_size_and_base():
+    """A finger-path stack records its base on the push into the empty stack
+    and clears it on the pop that empties it; the audit counts the elements
+    between the stack's top and its base against ``size``."""
+    sim = Simulator(_vt(7))
+    zone = sim.zR
+    # 4 joins the right-side stack over the block of 6's subtree, which ends at 5
+    sim.apply_virtual(BstOp.LEFT)
+    assert (zone.size, zone.base, sim.check_state()) == (1, 5, [])
+    zone.size = 2
+    assert sim.check_state() == ["zoneR: 1 elements under the stack top, size 2"]
+    zone.size = 1
+    sim.apply_virtual(BstOp.PARENT)  # and leaves it empty again
+    assert (zone.size, zone.base, sim.check_state()) == (0, 0, [])
+    zone.base = 5
+    assert sim.check_state() == ["zoneR: empty stack still records base 5"]
+    zone.base, zone.size = 0, 1
+    assert sim.check_state() == ["zoneR: 0 elements under the stack top, size 1"]
+
+
 def test_check_state_reports_a_block_root_that_is_not_a_leaf():
     rng = random.Random(4)
     w = wrap(SplayAlgorithm(ModelTree.new_tree(63, "balanced")))
@@ -365,8 +386,9 @@ class _ProbedSimulator(Simulator):
     def _restructure(self, c):
         k = len(self.vt.heavy_path(c))
         before = self.counters.restructure_ops
-        super()._restructure(c)
+        x = super()._restructure(c)
         self.restructures.append((self.counters.restructure_ops - before, k))
+        return x
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
