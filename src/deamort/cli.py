@@ -30,6 +30,7 @@ def main() -> None:
 
 
 _SHAPES = ("balanced", "linear-left", "linear-right")
+_FILE = click.Path(exists=True, dir_okay=False)
 
 
 @contextmanager
@@ -95,21 +96,21 @@ def opt(n, shape, keys, out):
 
 
 @main.command()
-@click.argument("reports", nargs=-1, required=True)
+@click.argument("reports", nargs=-1, required=True, type=_FILE)
 @click.option("--plot-data", "plot", is_flag=True, help="emit (n, worst) series instead")
 @click.option("--out", default=None)
 def compare(reports, plot, out):
     """Tabulate json reports with ratios against the first."""
     loaded = []
     for path in reports:
-        with open(path) as fh:
+        with open(path) as fh, _usage(path):
             loaded.append(CostReport.from_json(fh.read()))
     _write(plot_data(loaded) if plot else compare_reports(loaded), out)
 
 
 @main.command()
-@click.option("--tree", "tree_path", required=True, help="tree file (n + signed parent array)")
-@click.option("--trace", "trace_path", required=True, help="trace file (P/L/R/U tokens, # boundaries)")
+@click.option("--tree", "tree_path", required=True, type=_FILE, help="tree file (n + signed parent array)")
+@click.option("--trace", "trace_path", required=True, type=_FILE, help="trace file (P/L/R/U tokens, # boundaries)")
 @click.option("--keys", required=True, help="comma-separated access sequence")
 @click.option("--first-visit", is_flag=True, help="ignore # markers; use first visits")
 def verify(tree_path, trace_path, keys, first_visit):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 CSV_COLUMNS = ("algo", "n", "m", "total", "worst", "maxdepth")
@@ -34,7 +34,19 @@ class CostReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CostReport":
-        return cls(**json.loads(text))
+        """Parse a report written by :meth:`to_json`. Raises ValueError for
+        text that is not a JSON object or that misses or adds a field."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a report is a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        missing = [k for k, f in known.items() if f.default is MISSING and k not in data]
+        unknown = sorted(data.keys() - known.keys())
+        problems = [f"{what} fields {', '.join(keys)}"
+                    for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
+        if problems:
+            raise ValueError("not a cost report: " + "; ".join(problems))
+        return cls(**data)
 
     def csv_row(self) -> str:
         algo = self.algorithm if self.chain == "none" else f"{self.algorithm}+{self.chain}"

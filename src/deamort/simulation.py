@@ -127,14 +127,27 @@ class Simulator(LazyRestructuring):
     rotation. A single :meth:`rotate_up` recomputes both ends of the rotated
     edge and climbs until a height comes out unchanged
     (:meth:`_climb_heights`). A virtual op that rotates one node several
-    times in a row does it as one batch: :meth:`_lift_to_root` lifts a node
-    over all its ancestors, :meth:`_sink` lifts several nodes in turn over
-    one node. A batch rotates with no height work, appends its U ops, and
-    then makes one pass over the nodes it rotated, children first, climbing
-    from the topmost; :meth:`_vrotate` leaves the heights of the rotation
-    before its sink to that pass too. Lazy restructuring turns the climb
-    off while it rotates a region into shape and makes one pass over the
-    region afterwards."""
+    times in a row does it as one batch, which rotates with no height work,
+    appends its U ops, and then makes one pass over the nodes it rotated,
+    children first, climbing from the topmost:
+
+    - :meth:`_lift_to_root` lifts a node over all its ancestors, and from
+      the root it reads the walk down off the same climb;
+    - :meth:`_sink_into_block` lifts several nodes in turn over one node,
+      then the root of that node's heavier block unless the block is still
+      raw, and pushes the node onto that block's stack;
+    - :meth:`_vrotate` leaves the heights of the rotation before its sink to
+      the sink's pass too.
+
+    Lazy restructuring turns the climb off while it rotates a region into
+    shape and makes one pass over the region afterwards.
+
+    The finger moves by :meth:`walk_to`, which reads a hop to a child, the
+    parent, a grandchild or a sibling straight off the links and leaves
+    only longer walks to :func:`walk_ops`; inside a sink, every hop after
+    the first, and the one to a built block's root, is two edges down.
+    :meth:`apply_virtual`'s closing walk to the root is the finger's depth
+    in P ops, counted in place."""
 
     def __init__(self, vt: VirtualTree, lazy: bool = False):
         if vt.finger != vt.root:
@@ -234,19 +247,29 @@ class Simulator(LazyRestructuring):
         return v in self.blocks
 
     def walk_to(self, v: int) -> None:
+        """Walk the finger to v. A hop of one or two edges (to a child, the
+        parent, a grandchild or a sibling) is read straight off the links;
+        only a longer walk goes through :func:`walk_ops`."""
         pt = self.pt
         f = pt.finger
         if f == v:
             return
-        # adjacent hops dominate; they need no climb at all
-        if self.parent[f] == v:
-            self.trace.ops.append(_P)
-        elif self.left[f] == v:
-            self.trace.ops.append(_L)
-        elif self.right[f] == v:
-            self.trace.ops.append(_R)
+        left, parent = self.left, self.parent
+        ops = self.trace.ops
+        q = parent[v]
+        if q == f:
+            ops.append(_L if left[f] == v else _R)
+        elif q and parent[q] == f:
+            ops.append(_L if left[f] == q else _R)
+            ops.append(_L if left[q] == v else _R)
+        elif parent[f] == v:
+            ops.append(_P)
+        elif parent[f] == q:
+            # siblings: f is not the root, or v, with no parent either, would be f
+            ops.append(_P)
+            ops.append(_L if left[q] == v else _R)
         else:
-            self.trace.ops += walk_ops(self.left, self.parent, f, v)
+            ops += walk_ops(left, parent, f, v)
         pt.finger = v
 
     def rotate_up(self, v: int) -> None:
@@ -271,30 +294,49 @@ class Simulator(LazyRestructuring):
                 self._climb_heights((p, v))
 
     def _lift_to_root(self, v: int) -> None:
-        """Rotate v, which the finger is on, up to the physical root: one
-        counted run of rotations, as many :meth:`rotate_up` calls would
-        emit, with one height pass instead of a climb per rotation. Each old
-        ancestor p of v keeps one subtree and takes over, from v, a subtree
-        that is either v's own or an ancestor lifted over before p; so the
-        ancestors in lifting order, then v, list children before parents."""
+        """Walk the finger to v and rotate v up to the physical root: one
+        counted run of moves and rotations, as :meth:`walk_to` and many
+        :meth:`rotate_up` calls would emit, with one height pass instead of
+        a climb per rotation. From the root, the walk down is the path the
+        lift climbs back, so its L/R moves are read off while lifting; from
+        anywhere else (after a lazy restructure) :meth:`walk_to` goes first.
+        Each old ancestor p of v keeps one subtree and takes over, from v, a
+        subtree that is either v's own or an ancestor lifted over before p;
+        so the ancestors in lifting order, then v, list children before
+        parents."""
         left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
+        pt = self.pt
+        ops = self.trace.ops
+        from_root = pt.finger == pt.root
+        if not from_root:
+            self.walk_to(v)
+        down = bytearray()  # the walk from the root, bottom-up
         lifted = []
-        while parent[v]:
-            p = rotate_edge(left, right, parent, v)
+        while p := parent[v]:
+            down.append(_L if left[p] == v else _R)
+            rotate_edge(left, right, parent, v)
             wsub[v] = wsub[p]
             wsub[p] = weight[p] + wsub[left[p]] + wsub[right[p]]
             lifted.append(p)
-        self.trace.ops += _U1 * len(lifted)
-        self.pt.root = v
+        if from_root:
+            down.reverse()
+            ops += down
+        ops += _U1 * len(lifted)
+        pt.root = pt.finger = v
         lifted.append(v)
         self._climb_heights(lifted)
 
-    def _sink(self, x: int, over: Sequence[int]) -> None:
+    def _sink_into_block(self, x: int, over: Sequence[int]) -> None:
         """Rotate each node of ``over`` in turn over x, whose child it must
-        be when its turn comes: x sinks one level per counted rotation, the
-        finger walked to each node first, and one height pass follows. x
-        ends under the nodes of ``over`` in reverse, each hanging from the
-        one before it, so that order lists children before parents."""
+        be when its turn comes, then push x onto the stack of its heavier
+        side, forming the block for subtree(x). x sinks one level per
+        counted rotation, the finger walked to each node first, and ends
+        under the nodes of ``over`` in reverse, each hanging from the one
+        before it. If the heavier side's block is built, its root xT is
+        lifted over x as one more such rotation, and one height pass over x,
+        xT and ``over`` in reverse, children before parents, covers both. A
+        raw block is restructured after the sink's own pass, and its new
+        root lifted with a counted :meth:`rotate_up`."""
         left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
         ops = self.trace.ops
         for v in over:
@@ -305,7 +347,27 @@ class Simulator(LazyRestructuring):
             ops.append(_U)
         if not parent[over[0]]:
             self.pt.root = over[0]
-        self._climb_heights((x, *reversed(over)))
+        vt = self.vt
+        s = vt.solid[x]
+        if not s:
+            self._climb_heights((x, *reversed(over)))
+            self._new_block(x, x)
+            return
+        on_right = s == vt.right[x]
+        xT = right[x] if on_right else left[x]
+        if xT in self.raw:
+            self._climb_heights((x, *reversed(over)))
+            xT = self._restructure(xT)
+            self.rotate_up(xT)
+        else:
+            self._climb = False
+            self.rotate_up(xT)
+            self._climb = True
+            self._climb_heights((x, xT, *reversed(over)))
+        ctl = self.blocks[xT]
+        (ctl.L if on_right else ctl.R).push_arrived(x)
+        self.next_bit[x] = ctl.entry < xT
+        ctl.entry = x
 
     def _climb_heights(self, nodes: Iterable[int]) -> None:
         """Recompute the heights of ``nodes``, listed children before
@@ -331,7 +393,8 @@ class Simulator(LazyRestructuring):
         """Apply one virtual operation, appending its physical burst to
         ``self.trace``; returns the burst's op count. The burst starts and
         ends with the physical finger on the physical root."""
-        start = len(self.trace.ops)
+        ops = self.trace.ops
+        start = len(ops)
         if op == _L:
             self._vmove_down(False)
         elif op == _R:
@@ -340,11 +403,18 @@ class Simulator(LazyRestructuring):
             self._vmove_up()
         else:
             self._vrotate()
-        self.walk_to(self.pt.root)
-        burst = len(self.trace.ops) - start
+        # the closing walk to the root: one P per level of the finger's depth
+        pt, parent = self.pt, self.parent
+        v = pt.finger
+        depth = 0
+        while v := parent[v]:
+            depth += 1
+        ops += bytes(depth)
+        pt.finger = pt.root
+        burst = len(ops) - start
         self.counters.virtual_ops += 1
         self.counters.physical_ops += burst
-        h = self.pt.hgt[self.pt.root]
+        h = pt.hgt[pt.root]
         if h > self.counters.max_height:
             self.counters.max_height = h
         return burst
@@ -365,7 +435,6 @@ class Simulator(LazyRestructuring):
         xB = move_side.pchild(wstar) if wstar else (pt.right[f] if to_right else pt.left[f])
         if xB in self.raw:
             xB = self._restructure(xB)
-        self.walk_to(g)
         self._lift_to_root(g)
         if g == xB:
             del self.blocks[g]
@@ -388,29 +457,9 @@ class Simulator(LazyRestructuring):
         if zone_p.top_element() != p:
             raise PathStackError(f"path parent {p} does not top its stack")
         wstar_o = zone_o.top_element()
-        self._sink(f, (p, wstar_o) if wstar_o else (p,))
-        self._reblock_isolated(f)
+        self._sink_into_block(f, (p, wstar_o) if wstar_o else (p,))
         zone_p.pop_extracted()
         vt.finger = p
-
-    def _reblock_isolated(self, f: int) -> None:
-        """f sits with its two subtree blocks as plain children; push it onto
-        the stack of its heavier side, forming the block for subtree(f)."""
-        vt, pt = self.vt, self.pt
-        s = vt.solid[f]
-        if not s:
-            self._new_block(f, f)
-            return
-        on_right = s == vt.right[f]
-        links = pt.right if on_right else pt.left
-        xT = links[f]
-        if xT in self.raw:
-            xT = self._restructure(xT)
-        self.rotate_up(xT)
-        ctl = self.blocks[xT]
-        (ctl.L if on_right else ctl.R).push_arrived(f)
-        self.next_bit[f] = ctl.entry < xT
-        ctl.entry = f
 
     def _vrotate(self) -> None:
         vt, pt = self.vt, self.pt
@@ -432,8 +481,7 @@ class Simulator(LazyRestructuring):
         self._climb = True
         zone_p.pop_extracted()
         u = zone_p.top_element()
-        self._sink(p, (f, u) if u else (f,))
-        self._reblock_isolated(p)
+        self._sink_into_block(p, (f, u) if u else (f,))
 
     # -- verification helpers ---------------------------------------------------
 

@@ -282,6 +282,11 @@ def test_cli_gen_run_opt_verify(tmp_path):
     assert (out.exit_code, out.output) == (0, "valid: per-access costs [1, 2]\n")
 
 
+_REPORT = {"algorithm": "splay", "chain": "none", "n": 3, "m": 1, "seq_kind": "uniform",
+           "seed": 0, "total_ops": 1, "per_access_max": 1, "per_access_histogram": {"1": 1},
+           "max_depth_observed": 1, "ratio_vs_baseline": 1.0, "baseline_total": 1}
+
+
 @pytest.mark.parametrize("args,bad", [
     (["run", "--algo", "nope", "--n", "8", "--m", "4"], "--algo"),
     (["run", "--shape", "nope", "--n", "8", "--m", "4"], "--shape"),
@@ -290,13 +295,26 @@ def test_cli_gen_run_opt_verify(tmp_path):
     (["verify", "--tree", "{tree}", "--trace", "{bad_trace}", "--keys", "1"], "--trace"),
     (["verify", "--tree", "{bad_tree}", "--trace", "{trace}", "--keys", "1"], "--tree"),
     (["verify", "--tree", "{tree}", "--trace", "{trace}", "--keys", "one"], "--keys"),
-], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys"])
+    (["verify", "--tree", "{missing}", "--trace", "{trace}", "--keys", "1"], "does not exist"),
+    (["verify", "--tree", "{tree}", "--trace", "{missing}", "--keys", "1"], "does not exist"),
+    (["compare", "{report}", "{missing}"], "does not exist"),
+    (["compare", "{report}", "{trace}"], "Expecting value"),
+    (["compare", "{report}", "{not_object}"], "a report is a JSON object"),
+    (["compare", "{report}", "{missing_field}"], "missing fields algorithm"),
+    (["compare", "--plot-data", "{unknown_field}"], "unknown fields colour"),
+], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys",
+        "verify-missing-tree", "verify-missing-trace", "compare-missing-file",
+        "compare-not-json", "compare-not-object", "compare-missing-field",
+        "compare-unknown-field"])
 def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     """Malformed input exits 2 with a usage message, never with a traceback
     and never with exit 1, which ``verify`` keeps for an invalid trace."""
     files = {"tree": ModelTree.new_tree(3, "balanced").to_text(), "trace": "L #\n",
-             "bad_tree": "3\n0 1\n", "bad_trace": "L X #\n"}
-    paths = {}
+             "bad_tree": "3\n0 1\n", "bad_trace": "L X #\n",
+             "report": json.dumps(_REPORT), "not_object": "[1, 2]",
+             "missing_field": json.dumps({k: v for k, v in _REPORT.items() if k != "algorithm"}),
+             "unknown_field": json.dumps({**_REPORT, "colour": "blue"})}
+    paths = {"missing": tmp_path / "missing"}
     for name, text in files.items():
         paths[name] = tmp_path / name
         paths[name].write_text(text)

@@ -311,12 +311,23 @@ def test_dump_state_mentions_annotations():
     assert "[solid]" in text or "[dotted]" in text
 
 
-def test_illegal_virtual_op_raises():
-    from deamort.model import BstOp, IllegalOpError
+@pytest.mark.parametrize("before,illegal,reason", [
+    ([BstOp.LEFT], lambda sim: sim.apply_virtual(BstOp.LEFT), "illegal L at finger 1: no child"),
+    ([BstOp.RIGHT], lambda sim: sim.apply_virtual(BstOp.RIGHT), "illegal R at finger 3: no child"),
+    ([], lambda sim: sim.apply_virtual(BstOp.PARENT), "illegal P at finger 2: virtual finger at root"),
+    ([], lambda sim: sim.apply_virtual(BstOp.ROTATE), "illegal U at finger 2: virtual finger at root"),
+    ([BstOp.LEFT], lambda sim: sim.rotate_up(sim.pt.root), "illegal U at finger 1: rotate at the physical root"),
+], ids=["L-at-leaf", "R-at-leaf", "P-at-root", "U-at-root", "rotate_up-at-physical-root"])
+def test_illegal_virtual_op_raises(before, illegal, reason):
+    from deamort.model import IllegalOpError
 
     sim = Simulator(_vt(3))
-    with pytest.raises(IllegalOpError):
-        sim.apply_virtual(BstOp.PARENT)  # virtual finger at root
+    for op in before:
+        sim.apply_virtual(op)
+    trace = bytes(sim.trace.ops)
+    with pytest.raises(IllegalOpError, match=reason):
+        illegal(sim)
+    assert bytes(sim.trace.ops) == trace  # a refused op emits nothing
 
 
 def test_corrupt_path_stack_raises_named_error():
@@ -369,6 +380,49 @@ def test_check_state_reports_a_block_root_that_is_not_a_leaf():
     # the stack holding it now sees an inner node where a payload leaf belongs
     del sim.blocks[victim]
     assert any("crumb" in e for e in sim.check_state())
+
+
+_END = st.one_of(st.just("root"), st.integers(1, 10_000))
+# a node at most two edges from the walk's start: the short hops
+_NEAR = st.tuples(st.just("near"), st.integers(0, 9))
+
+
+def _within_two_edges(t, v):
+    one = [u for u in (t.parent[v], t.left[v], t.right[v]) if u]
+    return one + [w for u in one for w in (t.parent[u], t.left[u], t.right[u]) if w and w != v]
+
+
+@given(data=st.data(), n=st.integers(1, 40), lazy=st.booleans(),
+       pairs=st.lists(st.tuples(_END, st.one_of(_END, _NEAR, st.just("same"))),
+                      min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_walk_to_emits_the_walk_ops_moves(data, n, lazy, pairs):
+    """``Simulator.walk_to`` appends the bytes of ``model.walk_ops`` and
+    leaves the finger on the target: to a child, the parent, a grandchild,
+    the grandparent or a sibling, between any two nodes, from and to the
+    root and from a node to itself. A lazy simulator keeps the start tree's
+    shape, an eager one its block layout."""
+    from deamort.model import walk_ops
+
+    t = ModelTree.new_tree(n, insertion_shape(data.draw(st.permutations(range(1, n + 1)))))
+    sim = Simulator(VirtualTree(t), lazy=lazy)
+    pt, ops = sim.pt, sim.trace.ops
+    for a, b in pairs:
+        src = pt.root if a == "root" else (a - 1) % n + 1
+        near = _within_two_edges(pt, src)
+        if isinstance(b, tuple):
+            dst = near[b[1] % len(near)] if near else src
+        else:
+            dst = src if b == "same" else pt.root if b == "root" else (b - 1) % n + 1
+        pt.finger = src
+        start = len(ops)
+        sim.walk_to(dst)
+        assert bytes(ops[start:]) == bytes(walk_ops(pt.left, pt.parent, src, dst))
+        assert pt.finger == dst
+        pt.finger = src
+        for op in ops[start:]:
+            pt.apply_op(op)
+        assert pt.finger == dst
 
 
 # decimal weights such as {0.1, 0.2, 0.3} are left out until structural
