@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 CSV_COLUMNS = ("algo", "n", "m", "total", "worst", "maxdepth")
 
@@ -35,15 +35,18 @@ class CostReport:
     @classmethod
     def from_json(cls, text: str) -> "CostReport":
         """Parse a report written by :meth:`to_json`. Raises ValueError for
-        text that is not a JSON object or that misses or adds a field."""
+        text that is not a JSON object, that misses or adds a field, or whose
+        value for a field does not match its annotation."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a report is a JSON object")
         known = {f.name: f for f in fields(cls)}
         missing = [k for k, f in known.items() if f.default is MISSING and k not in data]
         unknown = sorted(data.keys() - known.keys())
-        problems = [f"{what} fields {', '.join(keys)}"
-                    for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
+        hints = get_type_hints(cls)
+        mistyped = sorted(k for k in data.keys() & known.keys() if not _fits(data[k], hints[k]))
+        problems = [f"{what} fields {', '.join(keys)}" for what, keys in (
+            ("missing", missing), ("unknown", unknown), ("mistyped", mistyped)) if keys]
         if problems:
             raise ValueError("not a cost report: " + "; ".join(problems))
         return cls(**data)
@@ -60,6 +63,20 @@ class CostReport:
         if fmt == "csv":
             return ",".join(CSV_COLUMNS) + "\n" + self.csv_row() + "\n"
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value fits a report field's annotation: no bool is a
+    number, an int may stand for a float, and a dict's items fit too."""
+    args = get_args(tp)
+    if get_origin(tp) is Union:
+        return any(_fits(value, a) for a in args)
+    if get_origin(tp) is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
 
 
 def cost_histogram(costs: list[int]) -> dict[str, int]:

@@ -20,7 +20,7 @@ from typing import Optional
 class LazyRestructuring:
     """The lazy-mode restructure of :class:`deamort.simulation.Simulator`,
     which it mixes in; it works on the simulator's link arrays, raw set,
-    block builder and counted ``rotate_up``."""
+    block builder and ``_rotate``, which leaves heights alone."""
 
     def _restructure(self, c: int) -> int:
         """Convert a still-original subtree into block form with counted ops;
@@ -38,7 +38,6 @@ class LazyRestructuring:
         the finger walks between them move one way along a spine, so a
         restructure costs O(k) ops."""
         self.raw.discard(c)
-        del self.blocks[c]
         vt = self.vt
         path = vt.heavy_path(c)
         k = len(path)
@@ -50,7 +49,7 @@ class LazyRestructuring:
             return c
         left, right, parent, wsub = self.left, self.right, self.parent, self.wsub
         # the builder writes only to c's heavy path and the roots hanging off it
-        hangs = [h for u in path for h in (vt.left[u], vt.right[u]) if h and h != vt.solid[u]]
+        hangs = [h for u in path for h in (vt.left[u], vt.right[u]) if h and h != vt.solid(u)]
         saved = [(v, left[v], right[v], parent[v], wsub[v]) for v in path + hangs]
         x = self._build_block(c)
         # S is a chain from c down to the childless x: its spines are its runs
@@ -75,11 +74,9 @@ class LazyRestructuring:
         self._building = False
         before = len(self.trace.ops)
         # one height pass over the region afterwards, not a climb per rotation
-        self._climb = False
         self._to_canonical(c, parent[c], x, shape, None)
         for p in reversed(log):
             self._lift(p, None)
-        self._climb = True
         order = []
         todo = [x]
         while todo:
@@ -133,4 +130,4 @@ class LazyRestructuring:
         silently, walked to and counted otherwise."""
         if self._building:
             log.append(self.parent[v])
-        self.rotate_up(v)
+        self._rotate(v)

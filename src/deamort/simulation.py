@@ -29,6 +29,7 @@ leaving its hanging subtrees raw in turn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algorithms import OnlineBstAlgorithm
@@ -39,11 +40,9 @@ from .restructure import LazyRestructuring
 
 class VirtualTree(ModelTree):
     """Shadow copy of the wrapped algorithm's tree, finger included, with
-    weight bookkeeping: per-node weights ``w``, subtree weights ``wsub`` and
-    each non-leaf's ``solid`` child, the one with the larger subtree weight
-    (ties go left)."""
+    weight bookkeeping: per-node weights ``w`` and subtree weights ``wsub``."""
 
-    __slots__ = ("w", "wsub", "solid")
+    __slots__ = ("w", "wsub")
 
     def __init__(self, tree: ModelTree, weights: Optional[Sequence[float]] = None):
         self._link(tree.left[:], tree.right[:], tree.parent[:], tree.root)
@@ -58,21 +57,22 @@ class VirtualTree(ModelTree):
                 raise ValueError("weights must be positive")
             self.w = [0.0] + [float(x) for x in weights]
         self.wsub = [0.0] * (n + 1)
-        self.solid = [0] * (n + 1)
         for v in self._postorder():
             self.wsub[v] = self.w[v] + self.wsub[self.left[v]] + self.wsub[self.right[v]]
-            self._resolve_solid(v)
+        if self.wsub[self.root] == inf:  # log2(W/w) would bound no depth
+            raise ValueError("weights must be finite, and so must their sum")
 
-    def _resolve_solid(self, v: int) -> None:
-        # weights are positive and wsub[0] is 0, so a leaf resolves to 0
+    def solid(self, v: int) -> int:
+        """v's solid child: the one with the larger subtree weight, ties
+        going left; 0 for a leaf (weights are positive and ``wsub[0]`` is 0)."""
         l, r = self.left[v], self.right[v]
-        self.solid[v] = l if self.wsub[l] >= self.wsub[r] else r
+        return l if self.wsub[l] >= self.wsub[r] else r
 
     def heavy_path(self, v: int) -> list[int]:
         """The solid path from v down to the leaf that ends it."""
         path = [v]
-        while self.solid[path[-1]]:
-            path.append(self.solid[path[-1]])
+        while s := self.solid(path[-1]):
+            path.append(s)
         return path
 
     def apply_rotation(self) -> int:
@@ -80,15 +80,10 @@ class VirtualTree(ModelTree):
         parent; returns the old parent."""
         x = self.finger
         p = rotate_edge(self.left, self.right, self.parent, x)
-        g = self.parent[x]
-        if not g:
+        if not self.parent[x]:
             self.root = x
         self.wsub[x] = self.wsub[p]
         self.wsub[p] = self.w[p] + self.wsub[self.left[p]] + self.wsub[self.right[p]]
-        self._resolve_solid(p)
-        self._resolve_solid(x)
-        if g and self.solid[g] == p:
-            self.solid[g] = x
         if self._stale is not None:
             self.mark_stale((p, x))
         return p
@@ -96,8 +91,9 @@ class VirtualTree(ModelTree):
 
 @dataclass(slots=True)
 class _BlockCtl:
-    """A block's record: the stacks of its path nodes smaller (``L``) and
-    larger (``R``) than its end, and its entry, the top of its heavy path."""
+    """A built block's record: the stacks of its path nodes smaller (``L``)
+    and larger (``R``) than its end, and its entry, the top of its heavy
+    path. A raw subtree has none; it is a member of ``Simulator.raw``."""
 
     L: ChocolatePopTart
     R: ChocolatePopTart
@@ -124,23 +120,24 @@ class Simulator(LazyRestructuring):
     block root fills a payload slot) and ``rotate_up``.
 
     It also keeps the physical tree's ``hgt`` exact after every counted
-    rotation. A single :meth:`rotate_up` recomputes both ends of the rotated
-    edge and climbs until a height comes out unchanged
-    (:meth:`_climb_heights`). A virtual op that rotates one node several
-    times in a row does it as one batch, which rotates with no height work,
-    appends its U ops, and then makes one pass over the nodes it rotated,
-    children first, climbing from the topmost:
+    rotation. :meth:`rotate_up` is :meth:`_rotate`, which does no height
+    work, followed by a recompute of both ends of the rotated edge and a
+    climb until a height comes out unchanged (:meth:`_climb_heights`). A
+    virtual op that rotates one node several times in a row does it as one
+    batch, which rotates with no height work, appends its U ops, and then
+    makes one pass over the nodes it rotated, children first, climbing from
+    the topmost:
 
     - :meth:`_lift_to_root` lifts a node over all its ancestors, and from
       the root it reads the walk down off the same climb;
     - :meth:`_sink_into_block` lifts several nodes in turn over one node,
-      then the root of that node's heavier block unless the block is still
-      raw, and pushes the node onto that block's stack;
+      then the root of that node's heavier block unless that side is still a
+      raw subtree, and pushes the node onto that block's stack;
     - :meth:`_vrotate` leaves the heights of the rotation before its sink to
       the sink's pass too.
 
-    Lazy restructuring turns the climb off while it rotates a region into
-    shape and makes one pass over the region afterwards.
+    Lazy restructuring rotates a region into shape with :meth:`_rotate` and
+    makes one pass over the region afterwards.
 
     The finger moves by :meth:`walk_to`, which reads a hop to a child, the
     parent, a grandchild or a sibling straight off the links and leaves
@@ -170,7 +167,6 @@ class Simulator(LazyRestructuring):
         self.counters = SimCounters()
         self.trace = Trace()
         self._building = True
-        self._climb = True
         # the finger-path stacks: left side flipped, right side normal
         self.zL = ChocolatePopTart(mirror=True, engine=self)
         self.zR = ChocolatePopTart(mirror=False, engine=self)
@@ -202,7 +198,6 @@ class Simulator(LazyRestructuring):
         if not self._lazy:
             return self._build_block(c)
         self.raw.add(c)
-        self._new_block(c, c)
         return c
 
     def _build_block(self, v: int) -> int:
@@ -244,7 +239,7 @@ class Simulator(LazyRestructuring):
     # -- physical op plumbing ---------------------------------------------------
 
     def is_leaf(self, v: int) -> bool:
-        return v in self.blocks
+        return v in self.blocks or v in self.raw
 
     def walk_to(self, v: int) -> None:
         """Walk the finger to v. A hop of one or two edges (to a child, the
@@ -272,10 +267,11 @@ class Simulator(LazyRestructuring):
             ops += walk_ops(left, parent, f, v)
         pt.finger = v
 
-    def rotate_up(self, v: int) -> None:
-        """Rotate node v over its parent, maintaining subtree weights; a
-        counted rotation first walks the finger to v and keeps the physical
-        root and heights current."""
+    def _rotate(self, v: int) -> int:
+        """Rotate node v over its parent, maintaining subtree weights, but no
+        height; returns the old parent. Silent while a block is built;
+        otherwise the finger walks to v first, the rotation is counted and
+        the physical root kept current."""
         parent = self.parent
         if not parent[v]:
             raise IllegalOpError(_U, v, "rotate at the physical root")
@@ -290,8 +286,13 @@ class Simulator(LazyRestructuring):
             self.trace.ops.append(_U)
             if not parent[v]:
                 self.pt.root = v
-            if self._climb:
-                self._climb_heights((p, v))
+        return p
+
+    def rotate_up(self, v: int) -> None:
+        """:meth:`_rotate`, then, for a counted rotation, the height climb."""
+        p = self._rotate(v)
+        if not self._building:
+            self._climb_heights((p, v))
 
     def _lift_to_root(self, v: int) -> None:
         """Walk the finger to v and rotate v up to the physical root: one
@@ -335,7 +336,7 @@ class Simulator(LazyRestructuring):
         before it. If the heavier side's block is built, its root xT is
         lifted over x as one more such rotation, and one height pass over x,
         xT and ``over`` in reverse, children before parents, covers both. A
-        raw block is restructured after the sink's own pass, and its new
+        raw subtree is restructured after the sink's own pass, and its new
         root lifted with a counted :meth:`rotate_up`."""
         left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
         ops = self.trace.ops
@@ -348,7 +349,7 @@ class Simulator(LazyRestructuring):
         if not parent[over[0]]:
             self.pt.root = over[0]
         vt = self.vt
-        s = vt.solid[x]
+        s = vt.solid(x)
         if not s:
             self._climb_heights((x, *reversed(over)))
             self._new_block(x, x)
@@ -360,9 +361,7 @@ class Simulator(LazyRestructuring):
             xT = self._restructure(xT)
             self.rotate_up(xT)
         else:
-            self._climb = False
-            self.rotate_up(xT)
-            self._climb = True
+            self._rotate(xT)
             self._climb_heights((x, xT, *reversed(over)))
         ctl = self.blocks[xT]
         (ctl.L if on_right else ctl.R).push_arrived(x)
@@ -441,7 +440,7 @@ class Simulator(LazyRestructuring):
         else:
             ctl = self.blocks[xB]
             (ctl.L if g < xB else ctl.R).pop_extracted()
-            ctl.entry = vt.solid[g]
+            ctl.entry = vt.solid(g)
         recv_side.push_arrived(f)
         vt.finger = g
 
@@ -476,9 +475,7 @@ class Simulator(LazyRestructuring):
         # slot that already holds its own hanging subtree. The sink's one
         # height pass covers p and f, both ends of the lift, and the stack
         # restore between climbs only up to p
-        self._climb = False
-        self.rotate_up(p)
-        self._climb = True
+        self._rotate(p)
         zone_p.pop_extracted()
         u = zone_p.top_element()
         self._sink_into_block(p, (f, u) if u else (f,))
@@ -497,8 +494,6 @@ class Simulator(LazyRestructuring):
             if not rep.ok:
                 errors.extend(f"{name}: {e}" for e in rep.errors)
         for x, ctl in self.blocks.items():
-            if x in self.raw:
-                continue
             for side, name in ((ctl.L, "L"), (ctl.R, "R")):
                 rep = side.check_invariants()
                 if not rep.ok:
@@ -557,8 +552,9 @@ def wrap(inner: OnlineBstAlgorithm, weights: Optional[Sequence[float]] = None,
 def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
     """Rebuild the virtual links from the physical tree plus per-node tags.
 
-    Uses only: the physical structure, the hanging-root markers, the per-node
-    next-on-path side bits, the per-block entry, and the virtual root key.
+    Uses only: the physical structure, the hanging-root markers (a raw
+    subtree is its own entry), the per-node next-on-path side bits, the
+    per-block entry, and the virtual root key.
     """
     pt = sim.pt
     n = pt.n
@@ -571,7 +567,7 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
         stack = [anchor] if anchor else []
         while stack:
             v = stack.pop()
-            if v in sim.blocks:
+            if sim.is_leaf(v):
                 hangs.append(v)
                 continue
             elems.append(v)
@@ -581,24 +577,17 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
                 stack.append(pt.right[v])
         return elems, hangs
 
-    def key_span(b: int) -> tuple[int, int]:
-        lo = b
-        while pt.left[lo]:
-            lo = pt.left[lo]
-        hi = b
-        while pt.right[hi]:
-            hi = pt.right[hi]
-        return lo, hi
+    def max_key(b: int) -> int:
+        while pt.right[b]:
+            b = pt.right[b]
+        return b
 
     def copy_raw(b: int) -> None:
         stack = [b]
         while stack:
             v = stack.pop()
-            vleft[v] = pt.left[v]
-            vright[v] = pt.right[v]
-            for c in (pt.left[v], pt.right[v]):
-                if c:
-                    stack.append(c)
+            vleft[v], vright[v] = pt.left[v], pt.right[v]
+            stack += [c for c in (vleft[v], vright[v]) if c]
 
     def link_region(top: int, end: int) -> None:
         """Reconstruct the path from ``top`` down to ``end`` plus hangings."""
@@ -631,28 +620,22 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
             else:
                 vright[u] = s
         for b in lh + rh:
-            lo, hi = key_span(b)
-            cur_i = 0
-            while True:
-                side_left = hi < path[cur_i]
-                if cur_i + 1 < len(path) and (path[cur_i + 1] < path[cur_i]) == side_left:
-                    cur_i += 1
-                    continue
-                break
-            holder = path[cur_i]
-            if b in sim.raw:
-                if hi < holder:
-                    vleft[holder] = b
-                else:
-                    vright[holder] = b
-                copy_raw(b)
-                continue
-            ent = sim.blocks[b].entry
+            # b hangs from the path node where the path turns away from b's keys
+            hi = max_key(b)
+            i = 0
+            while i + 1 < len(path) and (path[i + 1] < path[i]) == (hi < path[i]):
+                i += 1
+            holder = path[i]
+            raw = b in sim.raw
+            ent = b if raw else sim.blocks[b].entry
             if hi < holder:
                 vleft[holder] = ent
             else:
                 vright[holder] = ent
-            link_region(ent, b)
+            if raw:
+                copy_raw(b)
+            else:
+                link_region(ent, b)
 
     link_region(sim.vt.root, pt.root)
     return vleft, vright, sim.vt.root
@@ -667,10 +650,10 @@ def dump_state(sim: Simulator) -> str:
         txt = z.dump()
         for line in txt.splitlines():
             out.append(f"  [{name}] " + line)
-    for x in sorted(sim.blocks):
-        ent = sim.blocks[x].entry
+    for x in sorted(sim.blocks.keys() | sim.raw):
+        ent = x if x in sim.raw else sim.blocks[x].entry
         vp = vt.parent[ent]
-        lab = "solid" if vp and vt.solid[vp] == ent else "dotted"
+        lab = "solid" if vp and vt.solid(vp) == ent else "dotted"
         if x in sim.raw:
             out.append(f"block {x} [{lab}] [raw] ({sim.wsub[x]:g})")
             continue

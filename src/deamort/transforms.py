@@ -136,13 +136,12 @@ class WorkQueue:
         return len(self.cells)
 
     def _free_host(self, want: int) -> int:
+        """The first free node from ``want`` on, cyclically; ``enqueue`` made sure of one."""
         n = self.tree.n
         h = want
-        for _ in range(n):
-            if h not in self.cells:
-                return h
+        while h in self.cells:
             h = h % n + 1
-        raise GuaranteeViolation("queue overflow: every tree node already hosts a cell")
+        return h
 
     def _walk(self, key: int) -> bytearray:
         """Round trip root -> key -> root; pure finger moves."""

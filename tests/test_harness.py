@@ -302,10 +302,12 @@ _REPORT = {"algorithm": "splay", "chain": "none", "n": 3, "m": 1, "seq_kind": "u
     (["compare", "{report}", "{not_object}"], "a report is a JSON object"),
     (["compare", "{report}", "{missing_field}"], "missing fields algorithm"),
     (["compare", "--plot-data", "{unknown_field}"], "unknown fields colour"),
+    (["compare", "{report}", "{mistyped_total}"], "mistyped fields total_ops"),
+    (["compare", "--plot-data", "{report}", "{null_n}"], "mistyped fields n"),
 ], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys",
         "verify-missing-tree", "verify-missing-trace", "compare-missing-file",
         "compare-not-json", "compare-not-object", "compare-missing-field",
-        "compare-unknown-field"])
+        "compare-unknown-field", "compare-mistyped-field", "plot-data-null-field"])
 def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     """Malformed input exits 2 with a usage message, never with a traceback
     and never with exit 1, which ``verify`` keeps for an invalid trace."""
@@ -313,7 +315,9 @@ def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
              "bad_tree": "3\n0 1\n", "bad_trace": "L X #\n",
              "report": json.dumps(_REPORT), "not_object": "[1, 2]",
              "missing_field": json.dumps({k: v for k, v in _REPORT.items() if k != "algorithm"}),
-             "unknown_field": json.dumps({**_REPORT, "colour": "blue"})}
+             "unknown_field": json.dumps({**_REPORT, "colour": "blue"}),
+             "mistyped_total": json.dumps({**_REPORT, "total_ops": "x"}),
+             "null_n": json.dumps({**_REPORT, "n": None})}
     paths = {"missing": tmp_path / "missing"}
     for name, text in files.items():
         paths[name] = tmp_path / name

@@ -72,6 +72,18 @@ def test_malformed_explicit_shape_names_key():
         ModelTree.new_tree(3, [0, 1, -1])
 
 
+@pytest.mark.parametrize("parents,key,reason", [
+    ([-4, 0, 2], 1, "parent 4 out of range"),
+    ([0, 1, 1], 3, "key 1 already has a right child"),
+    ([-2, -3, 2], 1, "no root"),
+    ([0, 1], 0, "parent array has 2 entries, expected 3"),
+], ids=["out-of-range", "second-right-child", "no-root", "length"])
+def test_malformed_parent_array_is_refused(parents, key, reason):
+    with pytest.raises(MalformedTreeError, match=reason) as ei:
+        ModelTree.new_tree(3, parents)
+    assert ei.value.key == key
+
+
 def test_moves_and_errors():
     t = ModelTree.new_tree(3, "balanced")
     t.apply_op(BstOp.LEFT)

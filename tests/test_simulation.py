@@ -31,19 +31,46 @@ def _vt(n, shape="balanced", weights=None):
 def test_heavy_path_linear_right_single_path():
     vt = _vt(4, "linear-right")
     path = [vt.root]
-    while vt.solid[path[-1]]:
-        path.append(vt.solid[path[-1]])
+    while vt.solid(path[-1]):
+        path.append(vt.solid(path[-1]))
     assert path == [1, 2, 3, 4]
 
 
 def test_heavy_path_tie_goes_left():
     vt = _vt(3, "balanced")
-    assert vt.solid[2] == 1
+    assert vt.solid(2) == 1
 
 
 def test_heavy_path_weighted_pulls_right():
     vt = _vt(3, "balanced", weights=[1, 1, 100])
-    assert vt.solid[2] == 3
+    assert vt.solid(2) == 3
+
+
+@pytest.mark.parametrize("weights,reason", [
+    ([1.0, 1.0], "need 3 weights, got 2"),
+    ([1.0, 0.0, 1.0], "weights must be positive"),
+    ([1.0, -2.0, 1.0], "weights must be positive"),
+    ([1.0, math.nan, 1.0], "weights must be positive"),
+    ([1.0, math.inf, 1.0], "weights must be finite"),
+    # each is finite, their sum is not
+    ([1e308, 1e308, 1.0], "weights must be finite"),
+], ids=["count", "zero", "negative", "nan", "inf", "overflowing-sum"])
+def test_bad_weights_are_refused(weights, reason):
+    # an infinite total weight would make the depth audit bound nothing
+    with pytest.raises(ValueError, match=reason):
+        wrap(StaticAlgorithm(ModelTree.new_tree(3, "balanced")), weights)
+
+
+def test_simulator_needs_the_virtual_finger_on_the_root():
+    t = ModelTree.new_tree(3, "balanced")
+    t.apply_op(BstOp.LEFT)
+    with pytest.raises(ValueError, match="initial layout needs the virtual finger on the root"):
+        Simulator(VirtualTree(t))
+
+
+def test_build_chain_refuses_an_unknown_chain():
+    with pytest.raises(ValueError, match="unknown chain 'wrap\\+nothing'"):
+        build_chain("splay", "wrap+nothing", ModelTree.new_tree(3, "balanced"))
 
 
 def test_build_single_node():
@@ -243,10 +270,10 @@ def test_lazy_restructure_memory_is_bounded_by_its_region(monkeypatch):
     def measured(sim, c):
         vt = sim.vt
         path = [c]
-        while vt.solid[path[-1]]:
-            path.append(vt.solid[path[-1]])
+        while vt.solid(path[-1]):
+            path.append(vt.solid(path[-1]))
         region = len(path) + sum(1 for u in path for h in (vt.left[u], vt.right[u])
-                                 if h and h != vt.solid[u])
+                                 if h and h != vt.solid(u))
         before = containers(sim)
         run_ops, sim.trace.ops = sim.trace.ops, bytearray()
         tracemalloc.start()
@@ -309,6 +336,21 @@ def test_dump_state_mentions_annotations():
     text = dump_state(w.sim)
     assert "finger" in text
     assert "[solid]" in text or "[dotted]" in text
+
+
+def test_dump_state_of_a_lazy_run_off_the_virtual_root():
+    # a raw subtree has no block record until the finger enters it
+    sim = Simulator(_vt(7, "balanced"), lazy=True)
+    assert (sim.blocks, sim.raw) == ({}, {2, 6})
+    sim.apply_virtual(BstOp.LEFT)
+    assert dump_state(sim) == (
+        "finger 2\n"
+        "  [R] elem 4 [reg 0]\n"
+        "  [R]   leaf 3 (1)\n"
+        "block end 1 entry 1 [solid] (1)\n"
+        "block 3 [dotted] [raw] (1)\n"
+        "block 6 [dotted] [raw] (3)\n")
+    assert list(sim.blocks) == [1] and sim.raw == {3, 6}
 
 
 @pytest.mark.parametrize("before,illegal,reason", [

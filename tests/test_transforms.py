@@ -123,7 +123,7 @@ def test_online_stream_that_never_finishes_overflows_the_queue():
     for k in range(1, n + 1):
         a3.access(k)
     assert len(a3.queue) == n
-    with pytest.raises(GuaranteeViolation, match="queue overflow"):
+    with pytest.raises(GuaranteeViolation, match="queue overflow with 16 cells"):
         a3.access(1)
 
 

@@ -1,13 +1,15 @@
 """Count the bytecodes the access loop executes on small fixed workloads.
 
-Each analogue runs splay through the same chain, start shape and weight
-kind as the benchmark workload it is named after, on a fixed small input
-and seed. Only the access loop is counted: ``experiments.run_accesses``,
-the function ``run_experiment`` calls, with one ``access`` per key plus the
-height probe; building the chain and verifying the trace are left out. A
-count is the number of ``opcode`` events ``sys.settrace`` delivers, so it
-depends on the program and the Python version, never on the host's speed:
-two runs of one checkout on one interpreter print the same line.
+Each analogue is the benchmark workload it is named after
+(``perfbench/workloads.py``) shrunk to a fixed small n and m: the keyword
+arguments of its first sub-experiment at seed 0, so it runs splay through
+the same chain, sequence kind, start shape, lazy flag and weights. Only the
+access loop is counted: ``experiments.run_accesses``, the function
+``run_experiment`` calls, with one ``access`` per key plus the height probe;
+building the chain and verifying the trace are left out. A count is the
+number of ``opcode`` events ``sys.settrace`` delivers, so it depends on
+the program and the Python version, never on the host's speed: two runs
+of one checkout on one interpreter print the same line.
 
 Usage, from the repository root::
 
@@ -18,41 +20,36 @@ prints one JSON object: the Python version and, per analogue, its count.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import os
 import platform
-import random
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 from deamort.experiments import build_chain, run_accesses  # noqa: E402
 from deamort.model import ModelTree  # noqa: E402
-from deamort.sequences import SequenceSpec, gen_sequence  # noqa: E402
+from deamort.sequences import gen_sequence  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-# name -> (chain, sequence kind, n, m, start shape, lazy, exp weights)
+# name -> (n, m)
 ANALOGUES = {
-    "online-uniform": ("wrap+online", "uniform", 256, 300, "balanced", False, False),
-    "weighted-interleave": ("wrap+interleave", "working-set:64", 256, 300, "balanced", False, True),
-    "raw-zipf": ("none", "zipf:1.2", 4096, 3000, "balanced", False, False),
-    "lazy-linear": ("wrap", "uniform", 256, 64, "linear-right", True, False),
+    "online-uniform": (256, 300),
+    "weighted-interleave": (256, 300),
+    "raw-zipf": (4096, 3000),
+    "lazy-linear": (256, 64),
 }
-SEED = 0
-
-
-def _weights(n: int, seed: int) -> list[float]:
-    """exp(U(0, 12)) weights, the spread of the weighted workload."""
-    rng = random.Random(f"{seed}:weights")
-    return [math.exp(rng.uniform(0, 12)) for _ in range(n)]
 
 
 def count(name: str) -> int:
     """Bytecodes executed by the access loop of one analogue."""
-    chain, kind, n, m, shape, lazy, weighted = ANALOGUES[name]
-    seq = gen_sequence(SequenceSpec(kind, n, m, SEED))
-    weights = _weights(n, SEED) if weighted else None
-    alg = build_chain("splay", chain, ModelTree.new_tree(n, shape), weights, lazy)
+    n, m = ANALOGUES[name]
+    args = dataclasses.replace(WORKLOADS[name], n=n, m=m).experiment_args(0, 0)
+    seq = gen_sequence(args["spec"])
+    alg = build_chain(args["algo_id"], args["chain"], ModelTree.new_tree(n, args["shape"]),
+                      args["weights"], args["lazy"])
     events = 0
 
     def local(frame, event, arg):
