@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .model import _U, _U1, ModelTree, Trace, descend, rotate_edge, walk_ops
+from .model import _U, _U1, ModelTree, Trace, descend, rotate_edge, splay_step, walk_ops
 
 
 class AlgorithmInvariantError(RuntimeError):
@@ -53,6 +53,11 @@ class _OneBurstAlgorithm(OnlineBstAlgorithm):
     def serve(self, key: int) -> int:
         """Apply the access to ``key``; return the number of ops appended."""
         raise NotImplementedError
+
+    def access(self, key: int) -> int:
+        cost = self.serve(key)
+        self.trace.boundaries.append(len(self.trace.ops))
+        return cost
 
     def access_stream(self, key: int) -> Iterator[int]:
         yield self.serve(key)
@@ -94,10 +99,12 @@ class MoveToRootAlgorithm(_OneBurstAlgorithm):
 class SplayAlgorithm(_OneBurstAlgorithm):
     """Bottom-up splay, scheduled so the trace stays within 2*depth + 2 ops.
 
-    The zig-zig grandparent rotations are emitted while the finger passes the
-    parent on the way down; the remaining rotations keep the finger on the
-    accessed key on the way up. The resulting tree is identical to the
-    classical bottom-up splay because the interleaved rotations act on
+    One bottom-up pass over the search path's edge pairs applies each splay
+    step with :func:`splay_step` (a lone top edge with :func:`rotate_edge`)
+    and builds the trace in reverse. A zig-zig's grandparent rotation is
+    emitted while the finger passes the parent on the way down; the other
+    rotations keep the finger on the key on the way up. The trace replays to
+    the classical bottom-up splay because the interleaved rotations act on
     disjoint edges.
     """
 
@@ -114,21 +121,23 @@ class SplayAlgorithm(_OneBurstAlgorithm):
         path, dirs = descend(left, right, t.root, key)
         key = path[-1]  # the tree's own int object for the key, which the links share
         d = len(dirs)
-        # pair ancestor indices bottom-up: (d-1, d-2), (d-3, d-4), ...
-        zigzig = [False] * d
-        for j in range(d - 1, 0, -2):
-            zigzig[j] = dirs[j] == dirs[j - 1]
-
-        for i in range(d):
-            if zigzig[i]:
-                ops.append(_U)  # parent-over-grandparent half of the zig-zig
-                rotate_edge(left, right, parent, path[i])
-            ops.append(dirs[i])
-        # the remaining rotations keep the finger on the key
-        ups = d - zigzig.count(True)
-        ops += _U1 * ups
-        for _ in range(ups):
+        # per pair, bottom-up and reversed: x's move, a zig-zig's U, p's move
+        down = bytearray()
+        for i in range(d, 1, -2):
+            dx = dirs[i - 1]
+            dp = dirs[i - 2]
+            down.append(dx)
+            if dx == dp:
+                down.append(_U)
+            down.append(dp)
+            splay_step(left, right, parent, key)
+        if d & 1:  # a lone zig at the top
+            down.append(dirs[0])
             rotate_edge(left, right, parent, key)
+        down.reverse()
+        ops += down
+        # every edge not rotated on the way down closes with a rotation of key
+        ops += _U1 * (2 * d - len(down))
         if parent[key]:
             raise AlgorithmInvariantError(f"splay of {key} left it below {parent[key]}")
         t.root = t.finger = key

@@ -134,9 +134,9 @@ class ModelTree:
 
     Link arrays are 1-indexed by key; slot 0 is unused and 0 encodes an
     absent link. Mutation happens through :meth:`apply_op`, or through
-    :func:`rotate_edge` by a caller that emits the same op and either reports
-    the rotated nodes to :meth:`mark_stale` or keeps ``hgt`` exact itself, so
-    recorded traces replay exactly.
+    :func:`rotate_edge` or :func:`splay_step` by a caller that emits the same
+    ops and either reports the rotated nodes to :meth:`mark_stale` or keeps
+    ``hgt`` exact itself, so recorded traces replay exactly.
 
     Each key is one int object, shared by every link to it and by the
     tree's copies, so a tree holds its links and n int objects.
@@ -435,6 +435,42 @@ def rotate_edge(left: list[int], right: list[int], parent: list[int], x: int) ->
         else:
             right[g] = x
     return p
+
+
+def splay_step(left: list[int], right: list[int], parent: list[int], x: int) -> None:
+    """Move x over its parent p and grandparent g in one link rewrite, one
+    step of bottom-up splaying: a zig-zig (x and p children on the same side)
+    equals ``rotate_edge`` of p then of x, a zig-zag ``rotate_edge`` of x
+    twice. Callers check that g exists and update roots and aggregates."""
+    p = parent[x]
+    g = parent[p]
+    gg = parent[g]
+    # near is the side of g that p hangs on; subtree b moves under p, c under g
+    near, far = (left, right) if left[g] == p else (right, left)
+    if near[p] == x:  # zig-zig: b is x's far subtree, c is p's
+        b, c = far[x], far[p]
+        far[x] = p
+        near[p] = b
+        far[p] = g
+        parent[g] = p
+    else:  # zig-zag: b and c are x's near and far subtrees
+        b, c = near[x], far[x]
+        near[x] = p
+        far[x] = g
+        far[p] = b
+        parent[g] = x
+    near[g] = c
+    if b:
+        parent[b] = p
+    if c:
+        parent[c] = g
+    parent[p] = x
+    parent[x] = gg
+    if gg:
+        if left[gg] == g:
+            left[gg] = x
+        else:
+            right[gg] = x
 
 
 def descend(left: Sequence[int], right: Sequence[int], root: int,

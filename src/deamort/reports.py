@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
+from math import inf
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 CSV_COLUMNS = ("algo", "n", "m", "total", "worst", "maxdepth")
@@ -36,7 +38,7 @@ class CostReport:
     def from_json(cls, text: str) -> "CostReport":
         """Parse a report written by :meth:`to_json`. Raises ValueError for
         text that is not a JSON object, that misses or adds a field, or whose
-        value for a field does not match its annotation."""
+        value for a field does not match its annotation or is out of range."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a report is a JSON object")
@@ -49,6 +51,10 @@ class CostReport:
             ("missing", missing), ("unknown", unknown), ("mistyped", mistyped)) if keys]
         if problems:
             raise ValueError("not a cost report: " + "; ".join(problems))
+        invalid = sorted(k for k, v in data.items()
+                         if k != "seed" and _out_of_range(v, 1 if k == "n" else 0))
+        if invalid:
+            raise ValueError(f"not a cost report: invalid fields {', '.join(invalid)}")
         return cls(**data)
 
     def csv_row(self) -> str:
@@ -79,14 +85,19 @@ def _fits(value, tp) -> bool:
     return isinstance(value, (int, float) if tp is float else tp)
 
 
+def _out_of_range(value, low: int) -> bool:
+    """Whether a report's number, or any value of its histogram, lies below
+    ``low`` or is not finite; a string or None is never out of range."""
+    if isinstance(value, dict):
+        return any(_out_of_range(v, 0) for v in value.values())
+    return isinstance(value, (int, float)) and not low <= value < inf
+
+
 def cost_histogram(costs: list[int]) -> dict[str, int]:
-    """Power-of-two bucketed per-access cost counts."""
-    out: dict[str, int] = {}
-    for c in costs:
-        lo = 1 << max(c.bit_length() - 1, 0)
-        label = f"{lo}-{2 * lo - 1}" if c > 0 else "0"
-        out[label] = out.get(label, 0) + 1
-    return out
+    """Power-of-two bucketed per-access cost counts, buckets in the order
+    their first cost appears."""
+    return {f"{1 << (b - 1)}-{(1 << b) - 1}" if b else "0": k
+            for b, k in Counter(map(int.bit_length, costs)).items()}
 
 
 def compare(reports: list[CostReport]) -> str:

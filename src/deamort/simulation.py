@@ -55,7 +55,10 @@ class VirtualTree(ModelTree):
                 raise ValueError(f"need {n} weights, got {len(weights)}")
             if any(not wt > 0 for wt in weights):
                 raise ValueError("weights must be positive")
-            self.w = [0.0] + [float(x) for x in weights]
+            try:
+                self.w = [0.0] + [float(x) for x in weights]
+            except OverflowError:  # an int past the largest float
+                raise ValueError("weights must be finite, and so must their sum") from None
         self.wsub = [0.0] * (n + 1)
         for v in self._postorder():
             self.wsub[v] = self.w[v] + self.wsub[self.left[v]] + self.wsub[self.right[v]]

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deamort.algorithms import (
     MoveToRootAlgorithm,
@@ -9,7 +10,7 @@ from deamort.algorithms import (
     StaticAlgorithm,
     make_algorithm,
 )
-from deamort.model import BstOp, ModelTree, verify_trace
+from deamort.model import _U, _U1, BstOp, ModelTree, descend, rotate_edge, verify_trace, walk_ops
 from deamort.optsearch import insertion_shape
 
 P, L, R, U = BstOp.PARENT, BstOp.LEFT, BstOp.RIGHT, BstOp.ROTATE
@@ -104,6 +105,59 @@ def test_splay_sequence_matches_classical():
         alg.access(k)
         _classical_splay(oracle, k)
         assert t.left == oracle.left and t.right == oracle.right
+
+
+class _OneRotationSplay(SplayAlgorithm):
+    """The splay schedule done one rotate_edge at a time, the reference for
+    the pair pass: each zig-zig's grandparent rotation as the finger passes
+    the parent on the way down, then the remaining rotations of the key."""
+
+    def serve(self, key):
+        t = self.tree
+        left, right, parent = t.left, t.right, t.parent
+        ops = self.trace.ops
+        start = len(ops)
+        if parent[t.finger]:
+            ops += walk_ops(left, parent, t.finger, t.root)
+        path, dirs = descend(left, right, t.root, key)
+        key = path[-1]
+        d = len(dirs)
+        zigzig = [False] * d
+        for j in range(d - 1, 0, -2):
+            zigzig[j] = dirs[j] == dirs[j - 1]
+        for i in range(d):
+            if zigzig[i]:
+                ops.append(_U)
+                rotate_edge(left, right, parent, path[i])
+            ops.append(dirs[i])
+        ups = d - zigzig.count(True)
+        ops += _U1 * ups
+        for _ in range(ups):
+            rotate_edge(left, right, parent, key)
+        t.root = t.finger = key
+        if d:
+            t.mark_stale(path)
+        return len(ops) - start
+
+
+@given(data=st.data(), n=st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_splay_matches_the_one_rotation_schedule(data, n):
+    """Splaying in pair steps emits the bytes and boundaries, and leaves the
+    links, root and heights, of the one-rotation-at-a-time schedule after
+    every access."""
+    shape = insertion_shape(data.draw(st.permutations(range(1, n + 1))))
+    keys = data.draw(st.lists(st.integers(1, n), max_size=40))
+    alg = SplayAlgorithm(ModelTree.new_tree(n, shape))
+    ref = _OneRotationSplay(ModelTree.new_tree(n, shape))
+    for k in keys:
+        assert alg.access(k) == ref.access(k)
+        assert alg.trace.ops == ref.trace.ops
+        assert alg.trace.boundaries == ref.trace.boundaries
+        a, b = alg.tree, ref.tree
+        assert (a.left, a.right, a.parent, a.root) == (b.left, b.right, b.parent, b.root)
+    assert alg.tree.height() == ref.tree.height()
+    assert alg.tree.hgt == ref.tree.hgt
 
 
 def test_mtr_linear_right():

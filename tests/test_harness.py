@@ -219,6 +219,25 @@ def test_cost_histogram_buckets():
     assert h["0"] == 1 and h["1-1"] == 1 and h["2-3"] == 2 and h["4-7"] == 1 and h["8-15"] == 1
 
 
+def _per_cost_histogram(costs):
+    """The histogram labelled one cost at a time, the reference for
+    cost_histogram's per-bucket labels."""
+    out = {}
+    for c in costs:
+        lo = 1 << max(c.bit_length() - 1, 0)
+        label = f"{lo}-{2 * lo - 1}" if c > 0 else "0"
+        out[label] = out.get(label, 0) + 1
+    return out
+
+
+def test_cost_histogram_matches_per_cost_labelling():
+    rng = random.Random(5)
+    for _ in range(200):
+        costs = [rng.choice((0, rng.randrange(1, 1 << rng.randrange(1, 40))))
+                 for _ in range(rng.randrange(60))]
+        assert list(cost_histogram(costs).items()) == list(_per_cost_histogram(costs).items())
+
+
 def test_report_includes_opt_on_tiny_instances():
     spec = SequenceSpec("uniform", 3, 3, seed=4)
     rep = run_experiment("splay", "none", spec)
@@ -304,10 +323,13 @@ _REPORT = {"algorithm": "splay", "chain": "none", "n": 3, "m": 1, "seq_kind": "u
     (["compare", "--plot-data", "{unknown_field}"], "unknown fields colour"),
     (["compare", "{report}", "{mistyped_total}"], "mistyped fields total_ops"),
     (["compare", "--plot-data", "{report}", "{null_n}"], "mistyped fields n"),
+    (["compare", "{report}", "{negative_n}"], "invalid fields n"),
+    (["compare", "{report}", "{nan_ratio}"], "invalid fields ratio_vs_baseline"),
 ], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys",
         "verify-missing-tree", "verify-missing-trace", "compare-missing-file",
         "compare-not-json", "compare-not-object", "compare-missing-field",
-        "compare-unknown-field", "compare-mistyped-field", "plot-data-null-field"])
+        "compare-unknown-field", "compare-mistyped-field", "plot-data-null-field",
+        "compare-negative-n", "compare-nan-ratio"])
 def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     """Malformed input exits 2 with a usage message, never with a traceback
     and never with exit 1, which ``verify`` keeps for an invalid trace."""
@@ -317,7 +339,9 @@ def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
              "missing_field": json.dumps({k: v for k, v in _REPORT.items() if k != "algorithm"}),
              "unknown_field": json.dumps({**_REPORT, "colour": "blue"}),
              "mistyped_total": json.dumps({**_REPORT, "total_ops": "x"}),
-             "null_n": json.dumps({**_REPORT, "n": None})}
+             "null_n": json.dumps({**_REPORT, "n": None}),
+             "negative_n": json.dumps({**_REPORT, "n": -5}),
+             "nan_ratio": json.dumps({**_REPORT, "ratio_vs_baseline": math.nan})}
     paths = {"missing": tmp_path / "missing"}
     for name, text in files.items():
         paths[name] = tmp_path / name

@@ -17,6 +17,7 @@ from deamort.model import (
     Trace,
     VerifyReport,
     rotate_edge,
+    splay_step,
     verify_trace,
     walk_ops,
 )
@@ -141,6 +142,26 @@ def test_rotation_preserves_inorder(n, seed):
             legal.append(BstOp.ROTATE)
         t.apply_op(rng.choice(legal))
         assert t.check_bst()
+
+
+@given(data=st.data(), n=st.integers(3, 30))
+@settings(max_examples=100, deadline=None)
+def test_splay_step_is_two_rotations(data, n):
+    """For every node x with a grandparent, splay_step(x) leaves the links
+    that rotate_edge of p then of x leaves for a zig-zig, and rotate_edge of
+    x twice for a zig-zag."""
+    t = ModelTree.new_tree(n, insertion_shape(data.draw(st.permutations(range(1, n + 1)))))
+    for x in range(1, n + 1):
+        p = t.parent[x]
+        g = t.parent[p]
+        if not g:
+            continue
+        got, want = t.copy(), t.copy()
+        splay_step(got.left, got.right, got.parent, x)
+        zigzig = (t.left[g] == p) == (t.left[p] == x)
+        rotate_edge(want.left, want.right, want.parent, p if zigzig else x)
+        rotate_edge(want.left, want.right, want.parent, x)
+        assert (got.left, got.right, got.parent) == (want.left, want.right, want.parent)
 
 
 def _walk_ops_reference(left, parent, src, dst):

@@ -54,7 +54,9 @@ def test_heavy_path_weighted_pulls_right():
     ([1.0, math.inf, 1.0], "weights must be finite"),
     # each is finite, their sum is not
     ([1e308, 1e308, 1.0], "weights must be finite"),
-], ids=["count", "zero", "negative", "nan", "inf", "overflowing-sum"])
+    # an int no float can hold
+    ([1, 10**400, 1], "weights must be finite"),
+], ids=["count", "zero", "negative", "nan", "inf", "overflowing-sum", "huge-int"])
 def test_bad_weights_are_refused(weights, reason):
     # an infinite total weight would make the depth audit bound nothing
     with pytest.raises(ValueError, match=reason):
