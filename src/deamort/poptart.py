@@ -36,6 +36,11 @@ with synthesized keys (decreasing in the normal orientation) around the
 protocol, and the engine accounts every finger move and rotation and tracks
 the stack's slack. A pop-tart given an engine is embedded: the simulator
 passes itself, moves the elements in its own tree and calls the protocol.
+
+The simulator embeds up to two stacks per heavy-path block, so a stack is
+kept small: every kind and ``_Layer`` has ``__slots__``, a chocolate
+stack's ``frozen`` dict is created by its first frost, and the simulator
+creates a block side's stack on its first push.
 """
 
 from __future__ import annotations
@@ -184,7 +189,7 @@ class StandaloneEngine:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _Layer:
     regs: list[int]
     next_node: int = 0
@@ -207,6 +212,7 @@ class _PopTartBase:
     :meth:`pop` only create or detach the element around them.
     """
 
+    __slots__ = ("embedded", "engine", "mirror", "_pside", "_sside", "size")
     leaf_score_coef: float  # each kind's StandaloneEngine.coef
 
     def __init__(self, mirror: bool = False, engine=None):
@@ -295,6 +301,7 @@ class _PopTartBase:
 class VanillaPopTart(_PopTartBase):
     """No rebalancing; push and pop cost O(1) each."""
 
+    __slots__ = ("elems",)
     leaf_score_coef = 1.0
 
     def __init__(self, mirror: bool = False):
@@ -335,6 +342,7 @@ class VanillaPopTart(_PopTartBase):
 class CherryPopTart(_PopTartBase):
     """Layered spine with perfect 2^i-leaf crumbs; unit-weight stack."""
 
+    __slots__ = ("layers",)
     leaf_score_coef = 0.0
 
     def __init__(self, mirror: bool = False):
@@ -411,14 +419,18 @@ class ChocolatePopTart(_PopTartBase):
     first element pushed, until the stack empties. Standalone stacks have
     none (0); an embedded stack may sit on top of an opaque subtree whose
     weight counts as the bottom of the topmost layer's icing.
+
+    ``frozen`` maps each frosted element to the layers frozen under it. It
+    is None until the first frost creates it, as most stacks never frost.
     """
 
+    __slots__ = ("layers", "frozen", "base")
     leaf_score_coef = 7.0
 
     def __init__(self, mirror: bool = False, engine=None):
         super().__init__(mirror, engine)
         self.layers: list[_Layer] = []
-        self.frozen: dict[int, list[_Layer]] = {}
+        self.frozen: Optional[dict[int, list[_Layer]]] = None
         self.base = 0
 
     # -- structure bookkeeping ------------------------------------------------
@@ -472,6 +484,8 @@ class ChocolatePopTart(_PopTartBase):
         """Freeze the whole suffix below layer i into layer i's icing."""
         lay = self.layers[i]
         nx = lay.next_node
+        if self.frozen is None:
+            self.frozen = {}
         self.frozen[nx] = self.layers[i + 1:]
         del self.layers[i + 1:]
         lay.next_node = 0

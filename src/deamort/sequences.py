@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -36,6 +37,15 @@ class SequenceSpec:
             raise ValueError("bit-reversal needs n to be a power of two")
         if base == "working-set" and self.width < 1:
             raise ValueError("working-set width must be positive")
+        if base == "zipf":
+            # 1/k**a is 1.0 at k = 1 and monotone in k, so k = n decides
+            try:
+                w = 1.0 / (self.n ** self.alpha)
+            except (OverflowError, ZeroDivisionError):
+                w = 0.0
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"zipf exponent {self.alpha} gives weights 1/k**a that are "
+                                 f"not all finite and positive for k = 1..{self.n}")
 
 
 def _bit_reverse(i: int, bits: int) -> int:

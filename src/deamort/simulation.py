@@ -96,11 +96,13 @@ class VirtualTree(ModelTree):
 class _BlockCtl:
     """A built block's record: the stacks of its path nodes smaller (``L``)
     and larger (``R``) than its end, and its entry, the top of its heavy
-    path. A raw subtree has none; it is a member of ``Simulator.raw``."""
+    path. A side's stack is None until the first push onto it creates it,
+    and is kept once it has emptied again. A raw subtree has no record; it
+    is a member of ``Simulator.raw``."""
 
-    L: ChocolatePopTart
-    R: ChocolatePopTart
     entry: int
+    L: Optional[ChocolatePopTart] = None
+    R: Optional[ChocolatePopTart] = None
 
 
 class PathStackError(RuntimeError):
@@ -147,7 +149,13 @@ class Simulator(LazyRestructuring):
     only longer walks to :func:`walk_ops`; inside a sink, every hop after
     the first, and the one to a built block's root, is two edges down.
     :meth:`apply_virtual`'s closing walk to the root is the finger's depth
-    in P ops, counted in place."""
+    in P ops, counted in place.
+
+    The per-node state is flat: the link, ``wsub`` and height arrays, the
+    ``next_bit`` bytearray, which holds for every path node whether the
+    next node down its path is smaller than the path's end, and one
+    ``_BlockCtl`` per built block in ``blocks``, keyed by the block's end.
+    A block side gets its stack on its first push."""
 
     def __init__(self, vt: VirtualTree, lazy: bool = False):
         if vt.finger != vt.root:
@@ -165,7 +173,7 @@ class Simulator(LazyRestructuring):
         self.parent = vt.parent[:]
         self.wsub = vt.wsub[:]
         self.blocks: dict[int, _BlockCtl] = {}
-        self.next_bit: dict[int, bool] = {}
+        self.next_bit = bytearray(n + 1)
         self.raw: set[int] = set()
         self.counters = SimCounters()
         self.trace = Trace()
@@ -189,11 +197,6 @@ class Simulator(LazyRestructuring):
 
     # -- construction ---------------------------------------------------------
 
-    def _new_block(self, x: int, entry: int) -> _BlockCtl:
-        ctl = self.blocks[x] = _BlockCtl(
-            ChocolatePopTart(engine=self), ChocolatePopTart(mirror=True, engine=self), entry)
-        return ctl
-
     def _hang(self, c: int) -> int:
         """Lay out virtual subtree c below its holder; returns its physical
         root. Eager layout builds its block form now; lazy layout leaves it
@@ -211,7 +214,7 @@ class Simulator(LazyRestructuring):
         vt = self.vt
         path = vt.heavy_path(v)
         x = path[-1]
-        ctl = self._new_block(x, v)
+        ctl = self.blocks[x] = _BlockCtl(v)
         self.wsub[x] = self.weight[x]
         for i in range(len(path) - 2, -1, -1):
             u = path[i]
@@ -224,11 +227,17 @@ class Simulator(LazyRestructuring):
                 self.left[u] = hx
                 self.right[u] = old
                 self.left[x] = u
+                side = ctl.L
+                if side is None:
+                    side = ctl.L = ChocolatePopTart(engine=self)
             else:
                 old = self.right[x]
                 self.right[u] = hx
                 self.left[u] = old
                 self.right[x] = u
+                side = ctl.R
+                if side is None:
+                    side = ctl.R = ChocolatePopTart(mirror=True, engine=self)
             if hx:
                 self.parent[hx] = u
             if old:
@@ -236,7 +245,7 @@ class Simulator(LazyRestructuring):
             self.parent[u] = x
             self.wsub[u] = self.weight[u] + self.wsub[hx] + self.wsub[old]
             self.wsub[x] += self.weight[u] + self.wsub[hx]
-            (ctl.L if u < x else ctl.R).push_arrived(u)
+            side.push_arrived(u)
         return x
 
     # -- physical op plumbing ---------------------------------------------------
@@ -355,7 +364,7 @@ class Simulator(LazyRestructuring):
         s = vt.solid(x)
         if not s:
             self._climb_heights((x, *reversed(over)))
-            self._new_block(x, x)
+            self.blocks[x] = _BlockCtl(x)
             return
         on_right = s == vt.right[x]
         xT = right[x] if on_right else left[x]
@@ -367,7 +376,15 @@ class Simulator(LazyRestructuring):
             self._rotate(xT)
             self._climb_heights((x, xT, *reversed(over)))
         ctl = self.blocks[xT]
-        (ctl.L if on_right else ctl.R).push_arrived(x)
+        if on_right:
+            side = ctl.L
+            if side is None:
+                side = ctl.L = ChocolatePopTart(engine=self)
+        else:
+            side = ctl.R
+            if side is None:
+                side = ctl.R = ChocolatePopTart(mirror=True, engine=self)
+        side.push_arrived(x)
         self.next_bit[x] = ctl.entry < xT
         ctl.entry = x
 
@@ -498,6 +515,8 @@ class Simulator(LazyRestructuring):
                 errors.extend(f"{name}: {e}" for e in rep.errors)
         for x, ctl in self.blocks.items():
             for side, name in ((ctl.L, "L"), (ctl.R, "R")):
+                if side is None:
+                    continue
                 rep = side.check_invariants()
                 if not rep.ok:
                     errors.extend(f"block {x}/{name}: {e}" for e in rep.errors)
@@ -663,6 +682,8 @@ def dump_state(sim: Simulator) -> str:
         out.append(f"block end {x} entry {ent} [{lab}] ({sim.wsub[x]:g})")
         ctl = sim.blocks[x]
         for side, name in ((ctl.L, "L"), (ctl.R, "R")):
+            if side is None:
+                continue
             for line in side.dump().splitlines():
                 out.append(f"  [{name}] " + line)
     return "\n".join(out) + "\n"

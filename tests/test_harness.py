@@ -325,11 +325,16 @@ _REPORT = {"algorithm": "splay", "chain": "none", "n": 3, "m": 1, "seq_kind": "u
     (["compare", "--plot-data", "{report}", "{null_n}"], "mistyped fields n"),
     (["compare", "{report}", "{negative_n}"], "invalid fields n"),
     (["compare", "{report}", "{nan_ratio}"], "invalid fields ratio_vs_baseline"),
+    (["gen", "--seq", "zipf:nan", "--n", "8", "--m", "4"], "zipf exponent nan"),
+    (["gen", "--seq", "zipf:inf", "--n", "8", "--m", "4"], "zipf exponent inf"),
+    (["gen", "--seq", "zipf:1e6", "--n", "8", "--m", "4"], "zipf exponent 1000000.0"),
+    (["gen", "--seq", "zipf:-1e6", "--n", "8", "--m", "4"], "zipf exponent -1000000.0"),
 ], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys",
         "verify-missing-tree", "verify-missing-trace", "compare-missing-file",
         "compare-not-json", "compare-not-object", "compare-missing-field",
         "compare-unknown-field", "compare-mistyped-field", "plot-data-null-field",
-        "compare-negative-n", "compare-nan-ratio"])
+        "compare-negative-n", "compare-nan-ratio", "zipf-nan", "zipf-inf",
+        "zipf-overflow", "zipf-underflow"])
 def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     """Malformed input exits 2 with a usage message, never with a traceback
     and never with exit 1, which ``verify`` keeps for an invalid trace."""

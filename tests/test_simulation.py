@@ -11,6 +11,7 @@ from deamort.constants import FROZEN
 from deamort.model import BstOp, ModelTree, verify_trace
 from deamort.experiments import build_chain, run_experiment
 from deamort.optsearch import enumerate_shapes, insertion_shape
+from deamort.poptart import ChocolatePopTart
 from deamort.sequences import SequenceSpec
 from deamort.simulation import (
     Simulator,
@@ -418,12 +419,56 @@ def test_check_state_reports_a_block_root_that_is_not_a_leaf():
         w.access(rng.randint(1, 63))
     sim = w.sim
     assert not sim.check_state()
-    stacks = [sim.zL, sim.zR] + [s for ctl in sim.blocks.values() for s in (ctl.L, ctl.R)]
+    stacks = [sim.zL, sim.zR] + [s for ctl in sim.blocks.values() for s in (ctl.L, ctl.R)
+                                 if s is not None]
     slots = [s.pchild(e) for s in stacks for lay in s.layers for e in lay.regs]
     victim = next(c for c in slots if c in sim.blocks)
     # the stack holding it now sees an inner node where a payload leaf belongs
     del sim.blocks[victim]
     assert any("crumb" in e for e in sim.check_state())
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("kind", ["unit", "exp"])
+def test_stacks_and_frozen_dicts_are_created_on_first_use(monkeypatch, kind, lazy):
+    """A block side gets its stack on its first push, and a stack its
+    ``frozen`` dict on its first frost. At construction and after a wrapped
+    splay run, every block side that has a stack has held an element, a
+    stack has a ``frozen`` dict exactly when it has frosted, and
+    ``check_state`` stays clean."""
+    pushed, frosted = {}, {}  # id -> stack; holding the stacks keeps ids unique
+    push, frost = ChocolatePopTart.push_arrived, ChocolatePopTart._frost
+
+    def recording_push(self, elem):
+        pushed[id(self)] = self
+        push(self, elem)
+
+    def recording_frost(self, i):
+        frosted[id(self)] = self
+        frost(self, i)
+
+    monkeypatch.setattr(ChocolatePopTart, "push_arrived", recording_push)
+    monkeypatch.setattr(ChocolatePopTart, "_frost", recording_frost)
+
+    def audit(sim):
+        sides = [s for ctl in sim.blocks.values() for s in (ctl.L, ctl.R)]
+        assert all(s is None or id(s) in pushed for s in sides)
+        for s in [sim.zL, sim.zR, *filter(None, sides)]:
+            assert (s.frozen is not None) == (id(s) in frosted)
+        assert not sim.check_state()
+        return sides
+
+    n = 255
+    rng = random.Random(7)
+    weights = [math.exp(rng.uniform(0, 12)) for _ in range(n)] if kind == "exp" else None
+    w = wrap(SplayAlgorithm(ModelTree.new_tree(n, "balanced")), weights, lazy=lazy)
+    sides = audit(w.sim)
+    # the eager layout builds every block, and a leaf's block has no stack
+    assert (None in sides) == (not lazy) and (not sides) == lazy
+    for _ in range(400):
+        w.access(rng.randint(1, n))
+    audit(w.sim)
+    assert frosted
 
 
 _END = st.one_of(st.just("root"), st.integers(1, 10_000))

@@ -11,27 +11,38 @@ number of ``opcode`` events ``sys.settrace`` delivers, so it depends on
 the program and the Python version, never on the host's speed: two runs
 of one checkout on one interpreter print the same line.
 
+Beside the counts it prints the simulator's O(n) state: the bytes that
+``tracemalloc`` sees held by an eager ``wrap`` of splay over a balanced
+tree of n=2^14 nodes (the virtual tree, the physical arrays and every
+block's record and stacks), taken right after construction. That number
+also depends only on the program and the Python version.
+
 Usage, from the repository root::
 
     python3 tools/opcount.py
 
-prints one JSON object: the Python version and, per analogue, its count.
+prints one JSON object: the Python version, per analogue its count, and
+``wrap-state-bytes``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import platform
 import sys
+import tracemalloc
 
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
+from deamort.algorithms import SplayAlgorithm  # noqa: E402
 from deamort.experiments import build_chain, run_accesses  # noqa: E402
 from deamort.model import ModelTree  # noqa: E402
 from deamort.sequences import gen_sequence  # noqa: E402
+from deamort.simulation import wrap  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # name -> (n, m)
@@ -71,9 +82,24 @@ def count(name: str) -> int:
     return events
 
 
+def wrap_state_bytes() -> int:
+    """Bytes ``tracemalloc`` sees held by an eager wrap of splay, n=2^14."""
+    inner = SplayAlgorithm(ModelTree.new_tree(1 << 14, "balanced"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        wrapped = wrap(inner)  # alive while measured
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del wrapped
+    return held
+
+
 def main() -> None:
     out = {"python": platform.python_version()}
     out.update((name, count(name)) for name in ANALOGUES)
+    out["wrap-state-bytes"] = wrap_state_bytes()
     print(json.dumps(out))
 
 
