@@ -8,11 +8,12 @@ from contextlib import contextmanager
 import click
 
 from .algorithms import ALGORITHMS
-from .experiments import CHAINS, run_experiment
+from .experiments import CHAINS, VerificationFailure, run_experiment
 from .model import ModelTree, Trace, verify_trace
 from .optsearch import opt_bruteforce
 from .reports import CostReport, compare as compare_reports, plot_data
 from .sequences import SequenceSpec, gen_sequence
+from .transforms import GuaranteeViolation
 
 
 def _write(text: str, out: str | None) -> None:
@@ -76,9 +77,14 @@ def gen(seq, n, m, seed, out):
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", default=None)
 def run(algo, chain, seq, n, m, seed, shape, lazy, fmt, out):
-    """Run one experiment; the trace is verified before reporting."""
+    """Run one experiment; the trace is verified before reporting. A
+    tripped guarantee or a rejected trace is one line on stderr, exit 1."""
     spec = _spec(seq, n, m, seed)
-    report = run_experiment(algo, chain, spec, shape=shape, lazy=lazy)
+    try:
+        report = run_experiment(algo, chain, spec, shape=shape, lazy=lazy)
+    except (GuaranteeViolation, VerificationFailure) as e:
+        click.echo(f"{type(e).__name__}: {e}", err=True)
+        sys.exit(1)
     _write(report.emit(fmt), out)
 
 

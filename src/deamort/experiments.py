@@ -9,7 +9,7 @@ proven to realize their sequences.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algorithms import OnlineBstAlgorithm, make_algorithm
 from .model import ModelTree, ShapeSpec, verify_trace
@@ -17,7 +17,7 @@ from .optsearch import OPT_MAX_M, OPT_MAX_N, opt_bruteforce
 from .reports import CostReport, cost_histogram
 from .sequences import SequenceSpec, gen_sequence
 from .simulation import Simulator, wrap
-from .transforms import interleave_transform, online_transform
+from .transforms import OnlineWorstCaseAlgorithm, interleave_transform, online_transform
 
 CHAINS = ("none", "wrap", "wrap+interleave", "wrap+online")
 
@@ -44,31 +44,21 @@ def build_chain(algo_id: str, chain: str, tree: ModelTree,
     return online_transform(wrapped)
 
 
-def _simulator(alg: OnlineBstAlgorithm) -> Optional[Simulator]:
-    """The simulator of a wrapped chain, None for a raw algorithm."""
-    return getattr(alg, "sim", None) or getattr(getattr(alg, "inner", None), "sim", None)
-
-
 def run_accesses(alg: OnlineBstAlgorithm, seq: Sequence[int]) -> int:
     """Access the keys of ``seq`` in turn; returns the greatest tree height
-    seen, read after every access from a simulator's exact heights, else
-    every ``len(seq) // 64`` accesses and once at the end."""
-    sim = _simulator(alg)
+    seen, read after every access when the tree is a simulator, whose
+    heights are exact and cost a read, else every ``len(seq) // 64``
+    accesses, and once at the end."""
+    tree = alg.tree
+    probe = 1 if isinstance(tree, Simulator) else max(1, len(seq) // 64)
     max_depth = 0
-    probe = max(1, len(seq) // 64)
     for i, k in enumerate(seq):
         alg.access(k)
-        if sim is not None:
-            h = sim.pt.hgt[sim.pt.root]
+        if i % probe == 0:
+            h = tree.height()
             if h > max_depth:
                 max_depth = h
-        elif i % probe == 0:
-            h = alg.tree.height()
-            if h > max_depth:
-                max_depth = h
-    if sim is None:
-        max_depth = max(max_depth, alg.tree.height())
-    return max_depth
+    return max(max_depth, tree.height())
 
 
 def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
@@ -78,7 +68,6 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
     alg = build_chain(algo_id, chain, ModelTree.new_tree(spec.n, shape), weights, lazy)
     t0 = alg.tree.copy()
     max_depth = run_accesses(alg, seq)
-    sim = _simulator(alg)
     trace = alg.trace
     rep = verify_trace(t0, trace, seq, boundaries=trace.boundaries)
     if not rep.valid:
@@ -93,7 +82,7 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
     if spec.n <= OPT_MAX_N and len(seq) <= OPT_MAX_M:
         opt_cost = opt_bruteforce(t0, seq)
         ratio_opt = (trace.cost / opt_cost) if opt_cost else None
-    counters = getattr(alg, "counters", None)
+    counters = alg.counters if isinstance(alg, OnlineWorstCaseAlgorithm) else None
     return CostReport(
         algorithm=algo_id,
         chain=chain,
@@ -111,5 +100,5 @@ def run_experiment(algo_id: str, chain: str, spec: SequenceSpec,
         opt_cost=opt_cost,
         action_histogram=dict(counters.actions) if counters else None,
         max_queue=counters.max_queue if counters else None,
-        restructure_ops=sim.counters.restructure_ops if sim else 0,
+        restructure_ops=alg.tree.counters.restructure_ops if isinstance(alg.tree, Simulator) else 0,
     )

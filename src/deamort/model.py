@@ -150,6 +150,9 @@ class ModelTree:
     the next rotation. Past n stale entries the heights are unknown again.
     ``hgt[0]`` is -1, the height of the absent node, so every node's height
     is one more than its higher child's.
+
+    ``simulation.VirtualTree`` and ``simulation.Simulator`` (the physical
+    tree, which keeps ``hgt`` exact itself) link their own arrays.
     """
 
     __slots__ = ("n", "left", "right", "parent", "root", "finger", "hgt", "_stale")
@@ -193,16 +196,6 @@ class ModelTree:
             raise MalformedTreeError(1, "no root")
         self._link(left, right, parent, root)
         self._check_structure()
-
-    @classmethod
-    def from_links(cls, left: list[int], right: list[int], parent: list[int],
-                   root: int) -> "ModelTree":
-        """A tree over existing link arrays, shared, not copied, with the
-        finger at ``root``. The links must encode a BST over 1..n."""
-        t = cls.__new__(cls)
-        t._link(left, right, parent, root)
-        t._check_structure()
-        return t
 
     def _link(self, left: list[int], right: list[int], parent: list[int], root: int) -> None:
         self.n = len(left) - 1

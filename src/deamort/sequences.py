@@ -38,14 +38,16 @@ class SequenceSpec:
         if base == "working-set" and self.width < 1:
             raise ValueError("working-set width must be positive")
         if base == "zipf":
-            # 1/k**a is 1.0 at k = 1 and monotone in k, so k = n decides
+            # 1/k**a is 1.0 at k = 1 and monotone in k, so k = 1 and k = n
+            # bound the weights, and the running total is at most n times the
+            # largest
             try:
                 w = 1.0 / (self.n ** self.alpha)
             except (OverflowError, ZeroDivisionError):
                 w = 0.0
-            if not 0.0 < w < math.inf:
-                raise ValueError(f"zipf exponent {self.alpha} gives weights 1/k**a that are "
-                                 f"not all finite and positive for k = 1..{self.n}")
+            if not (0.0 < w and self.n * max(w, 1.0) < math.inf):
+                raise ValueError(f"zipf exponent {self.alpha} gives weights 1/k**a, k = 1..{self.n}, "
+                                 "that are not all finite and positive, or whose total could overflow")
 
 
 def _bit_reverse(i: int, bits: int) -> int:

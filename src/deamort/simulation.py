@@ -117,15 +117,18 @@ class SimCounters:
     max_height: int = 0
 
 
-class Simulator(LazyRestructuring):
-    """Physical world for one wrapped algorithm run.
+class Simulator(LazyRestructuring, ModelTree):
+    """Physical world for one wrapped algorithm run: the physical tree
+    itself, a :class:`ModelTree` over its own link arrays, so ``root``,
+    ``finger``, ``hgt``, :meth:`check_bst` and :meth:`copy` are its own, and
+    ``tree`` of every layer of a wrapped chain is this object.
 
-    The simulator is itself the engine of every chocolate stack it holds:
+    The simulator is also the engine of every chocolate stack it holds:
     the physical link arrays, ``weight``, ``wsub``, ``key``, ``is_leaf`` (a
     block root fills a payload slot) and ``rotate_up``.
 
-    It also keeps the physical tree's ``hgt`` exact after every counted
-    rotation. :meth:`rotate_up` is :meth:`_rotate`, which does no height
+    It keeps ``hgt`` exact after every counted rotation, so :meth:`height`
+    is a read. :meth:`rotate_up` is :meth:`_rotate`, which does no height
     work, followed by a recompute of both ends of the rotated edge and a
     climb until a height comes out unchanged (:meth:`_climb_heights`). A
     virtual op that rotates one node several times in a row does it as one
@@ -136,8 +139,8 @@ class Simulator(LazyRestructuring):
     - :meth:`_lift_to_root` lifts a node over all its ancestors, and from
       the root it reads the walk down off the same climb;
     - :meth:`_sink_into_block` lifts several nodes in turn over one node,
-      then the root of that node's heavier block unless that side is still a
-      raw subtree, and pushes the node onto that block's stack;
+      then the root of that node's heavier block, restructured first if it
+      is still a raw subtree, and pushes the node onto that block's stack;
     - :meth:`_vrotate` leaves the heights of the rotation before its sink to
       the sink's pass too.
 
@@ -162,15 +165,13 @@ class Simulator(LazyRestructuring):
             raise ValueError("wrap the algorithm before its first access: the "
                              "initial layout needs the virtual finger on the root")
         self.vt = vt
-        n = vt.n
+        # both layouts start from the original links; _hang builds the eager
+        # blocks over them below, lazy ones are built on first entry
+        self._link(vt.left[:], vt.right[:], vt.parent[:], vt.root)
+        n = self.n
         self.weight = vt.w
         self.key = range(n + 1)
         self._lazy = lazy
-        # both layouts start from the original links; _hang builds the eager
-        # blocks over them below, lazy ones are built on first entry
-        self.left = vt.left[:]
-        self.right = vt.right[:]
-        self.parent = vt.parent[:]
         self.wsub = vt.wsub[:]
         self.blocks: dict[int, _BlockCtl] = {}
         self.next_bit = bytearray(n + 1)
@@ -191,9 +192,19 @@ class Simulator(LazyRestructuring):
                     self.right[f] = x
                 self.parent[x] = f
         self.wsub[f] = self.weight[f] + self.wsub[self.left[f]] + self.wsub[self.right[f]]
-        self.pt = ModelTree.from_links(self.left, self.right, self.parent, f)
-        self.pt.height()  # the first read computes every height
+        self._recompute_heights()
         self._building = False
+
+    @property
+    def pt(self) -> "Simulator":
+        """The simulator itself, kept only because the benchmark harness
+        (``perfbench/harness.py``) reads ``sim.pt.finger``."""
+        return self
+
+    def height(self) -> int:
+        """The physical tree's height, read off ``hgt``, which every counted
+        rotation keeps exact."""
+        return self.hgt[self.root]
 
     # -- construction ---------------------------------------------------------
 
@@ -257,8 +268,7 @@ class Simulator(LazyRestructuring):
         """Walk the finger to v. A hop of one or two edges (to a child, the
         parent, a grandchild or a sibling) is read straight off the links;
         only a longer walk goes through :func:`walk_ops`."""
-        pt = self.pt
-        f = pt.finger
+        f = self.finger
         if f == v:
             return
         left, parent = self.left, self.parent
@@ -277,7 +287,7 @@ class Simulator(LazyRestructuring):
             ops.append(_L if left[q] == v else _R)
         else:
             ops += walk_ops(left, parent, f, v)
-        pt.finger = v
+        self.finger = v
 
     def _rotate(self, v: int) -> int:
         """Rotate node v over its parent, maintaining subtree weights, but no
@@ -288,7 +298,7 @@ class Simulator(LazyRestructuring):
         if not parent[v]:
             raise IllegalOpError(_U, v, "rotate at the physical root")
         counted = not self._building
-        if counted and self.pt.finger != v:
+        if counted and self.finger != v:
             self.walk_to(v)
         left, right, wsub = self.left, self.right, self.wsub
         p = rotate_edge(left, right, parent, v)
@@ -297,7 +307,7 @@ class Simulator(LazyRestructuring):
         if counted:
             self.trace.ops.append(_U)
             if not parent[v]:
-                self.pt.root = v
+                self.root = v
         return p
 
     def rotate_up(self, v: int) -> None:
@@ -318,9 +328,8 @@ class Simulator(LazyRestructuring):
         so the ancestors in lifting order, then v, list children before
         parents."""
         left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
-        pt = self.pt
         ops = self.trace.ops
-        from_root = pt.finger == pt.root
+        from_root = self.finger == self.root
         if not from_root:
             self.walk_to(v)
         down = bytearray()  # the walk from the root, bottom-up
@@ -335,7 +344,7 @@ class Simulator(LazyRestructuring):
             down.reverse()
             ops += down
         ops += _U1 * len(lifted)
-        pt.root = pt.finger = v
+        self.root = self.finger = v
         lifted.append(v)
         self._climb_heights(lifted)
 
@@ -345,11 +354,12 @@ class Simulator(LazyRestructuring):
         side, forming the block for subtree(x). x sinks one level per
         counted rotation, the finger walked to each node first, and ends
         under the nodes of ``over`` in reverse, each hanging from the one
-        before it. If the heavier side's block is built, its root xT is
-        lifted over x as one more such rotation, and one height pass over x,
-        xT and ``over`` in reverse, children before parents, covers both. A
-        raw subtree is restructured after the sink's own pass, and its new
-        root lifted with a counted :meth:`rotate_up`."""
+        before it. The heavier side, restructured first if it is still a raw
+        subtree, has its block root xT lifted over x as one more such
+        rotation, and one height pass over x, xT and ``over`` in reverse,
+        children before parents, covers both. A restructure's own pass may
+        climb through the sink's stale heights; the final pass recomputes
+        each of them."""
         left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
         ops = self.trace.ops
         for v in over:
@@ -359,7 +369,7 @@ class Simulator(LazyRestructuring):
             wsub[x] = weight[x] + wsub[left[x]] + wsub[right[x]]
             ops.append(_U)
         if not parent[over[0]]:
-            self.pt.root = over[0]
+            self.root = over[0]
         vt = self.vt
         s = vt.solid(x)
         if not s:
@@ -369,12 +379,9 @@ class Simulator(LazyRestructuring):
         on_right = s == vt.right[x]
         xT = right[x] if on_right else left[x]
         if xT in self.raw:
-            self._climb_heights((x, *reversed(over)))
             xT = self._restructure(xT)
-            self.rotate_up(xT)
-        else:
-            self._rotate(xT)
-            self._climb_heights((x, xT, *reversed(over)))
+        self._rotate(xT)
+        self._climb_heights((x, xT, *reversed(over)))
         ctl = self.blocks[xT]
         if on_right:
             side = ctl.L
@@ -393,7 +400,7 @@ class Simulator(LazyRestructuring):
         parents, then climb from the last one's parent until a height comes
         out unchanged. Every node whose subtree changed shape must be listed
         or lie on that climb, as both ends of a rotated edge do."""
-        hgt, left, right, parent = self.pt.hgt, self.left, self.right, self.parent
+        hgt, left, right, parent = self.hgt, self.left, self.right, self.parent
         for v in nodes:
             a, b = hgt[left[v]], hgt[right[v]]
             hgt[v] = (a if a > b else b) + 1
@@ -423,23 +430,23 @@ class Simulator(LazyRestructuring):
         else:
             self._vrotate()
         # the closing walk to the root: one P per level of the finger's depth
-        pt, parent = self.pt, self.parent
-        v = pt.finger
+        parent = self.parent
+        v = self.finger
         depth = 0
         while v := parent[v]:
             depth += 1
         ops += bytes(depth)
-        pt.finger = pt.root
+        self.finger = root = self.root
         burst = len(ops) - start
         self.counters.virtual_ops += 1
         self.counters.physical_ops += burst
-        h = pt.hgt[pt.root]
+        h = self.hgt[root]
         if h > self.counters.max_height:
             self.counters.max_height = h
         return burst
 
     def _vmove_down(self, to_right: bool) -> None:
-        vt, pt = self.vt, self.pt
+        vt = self.vt
         f = vt.finger
         g = vt.right[f] if to_right else vt.left[f]
         if not g:
@@ -451,7 +458,7 @@ class Simulator(LazyRestructuring):
             # f joins the path; record which side its successor g lies on
             self.next_bit[prev] = f < g
         wstar = move_side.top_element()
-        xB = move_side.pchild(wstar) if wstar else (pt.right[f] if to_right else pt.left[f])
+        xB = move_side.pchild(wstar) if wstar else (self.right[f] if to_right else self.left[f])
         if xB in self.raw:
             xB = self._restructure(xB)
         self._lift_to_root(g)
@@ -465,7 +472,7 @@ class Simulator(LazyRestructuring):
         vt.finger = g
 
     def _vmove_up(self) -> None:
-        vt, pt = self.vt, self.pt
+        vt = self.vt
         f = vt.finger
         p = vt.parent[f]
         if not p:
@@ -481,7 +488,7 @@ class Simulator(LazyRestructuring):
         vt.finger = p
 
     def _vrotate(self) -> None:
-        vt, pt = self.vt, self.pt
+        vt = self.vt
         f = vt.finger
         p = vt.parent[f]
         if not p:
@@ -505,9 +512,9 @@ class Simulator(LazyRestructuring):
     def check_state(self) -> list[str]:
         """Structural audit of the whole physical world."""
         errors = []
-        if not self.pt.check_bst():
+        if not self.check_bst():
             errors.append("physical symmetric order broken")
-        if self.pt.finger != self.pt.root:
+        if self.finger != self.root:
             errors.append("physical finger away from root between accesses")
         for z, name in ((self.zL, "zoneL"), (self.zR, "zoneR")):
             rep = z.check_invariants()
@@ -528,16 +535,15 @@ class Simulator(LazyRestructuring):
 
         W = self.vt.wsub[self.vt.root]
         bad = []
-        pt = self.pt
-        stack = [(pt.root, 0)]
+        stack = [(self.root, 0)]
         while stack:
             v, d = stack.pop()
             if d > mult * log2(W / self.weight[v]) + add:
                 bad.append(v)
-            if pt.left[v]:
-                stack.append((pt.left[v], d + 1))
-            if pt.right[v]:
-                stack.append((pt.right[v], d + 1))
+            if self.left[v]:
+                stack.append((self.left[v], d + 1))
+            if self.right[v]:
+                stack.append((self.right[v], d + 1))
         return bad
 
 
@@ -546,14 +552,15 @@ class Simulator(LazyRestructuring):
 
 class WrappedAlgorithm(OnlineBstAlgorithm):
     """Runs the inner algorithm on the shadow tree, emitting physical ops
-    into the simulator's trace; each access empties the inner trace."""
+    into the simulator's trace; each access empties the inner trace. Its
+    ``tree`` and ``sim`` are both the simulator, the physical tree."""
 
     def __init__(self, inner: OnlineBstAlgorithm, weights: Optional[Sequence[float]] = None,
                  lazy: bool = False):
         self.inner = inner
         vt = VirtualTree(inner.tree, weights)
         self.sim = Simulator(vt, lazy=lazy)
-        self.tree = self.sim.pt
+        self.tree = self.sim
         self.n = inner.n
         self.trace = self.sim.trace
 
@@ -578,8 +585,7 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
     subtree is its own entry), the per-node next-on-path side bits, the
     per-block entry, and the virtual root key.
     """
-    pt = sim.pt
-    n = pt.n
+    n = sim.n
     vleft = [0] * (n + 1)
     vright = [0] * (n + 1)
 
@@ -593,28 +599,28 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
                 hangs.append(v)
                 continue
             elems.append(v)
-            if pt.left[v]:
-                stack.append(pt.left[v])
-            if pt.right[v]:
-                stack.append(pt.right[v])
+            if sim.left[v]:
+                stack.append(sim.left[v])
+            if sim.right[v]:
+                stack.append(sim.right[v])
         return elems, hangs
 
     def max_key(b: int) -> int:
-        while pt.right[b]:
-            b = pt.right[b]
+        while sim.right[b]:
+            b = sim.right[b]
         return b
 
     def copy_raw(b: int) -> None:
         stack = [b]
         while stack:
             v = stack.pop()
-            vleft[v], vright[v] = pt.left[v], pt.right[v]
+            vleft[v], vright[v] = sim.left[v], sim.right[v]
             stack += [c for c in (vleft[v], vright[v]) if c]
 
     def link_region(top: int, end: int) -> None:
         """Reconstruct the path from ``top`` down to ``end`` plus hangings."""
-        le, lh = region(pt.left[end])
-        re_, rh = region(pt.right[end])
+        le, lh = region(sim.left[end])
+        re_, rh = region(sim.right[end])
         lq = sorted(le)
         rq = sorted(re_, reverse=True)
         li = ri = 0
@@ -659,7 +665,7 @@ def decode_virtual(sim: Simulator) -> tuple[list[int], list[int], int]:
             else:
                 link_region(ent, b)
 
-    link_region(sim.vt.root, pt.root)
+    link_region(sim.vt.root, sim.root)
     return vleft, vright, sim.vt.root
 
 
@@ -667,7 +673,7 @@ def dump_state(sim: Simulator) -> str:
     """Debug rendering: the finger-path stacks, then every block with its
     entry and the kind of virtual edge it hangs from."""
     vt = sim.vt
-    out = [f"finger {sim.pt.root}"]
+    out = [f"finger {sim.root}"]
     for z, name in ((sim.zL, "L"), (sim.zR, "R")):
         txt = z.dump()
         for line in txt.splitlines():

@@ -46,6 +46,8 @@ def test_uniform_deterministic():
 def test_zipf_and_working_set_params():
     z = gen_sequence(SequenceSpec("zipf:1.5", 16, 500, seed=1))
     assert z.count(1) > z.count(16)
+    # the largest legal negative exponents still draw more than one key
+    assert len(set(gen_sequence(SequenceSpec("zipf:-60", 100000, 50, seed=0)))) > 1
     w = gen_sequence(SequenceSpec("working-set:4", 64, 400, seed=2))
     assert all(1 <= k <= 64 for k in w)
     # a narrow window keeps reuse high
@@ -329,12 +331,13 @@ _REPORT = {"algorithm": "splay", "chain": "none", "n": 3, "m": 1, "seq_kind": "u
     (["gen", "--seq", "zipf:inf", "--n", "8", "--m", "4"], "zipf exponent inf"),
     (["gen", "--seq", "zipf:1e6", "--n", "8", "--m", "4"], "zipf exponent 1000000.0"),
     (["gen", "--seq", "zipf:-1e6", "--n", "8", "--m", "4"], "zipf exponent -1000000.0"),
+    (["gen", "--seq", "zipf:-61.5", "--n", "100000", "--m", "5"], "or whose total could overflow"),
 ], ids=["algo", "shape", "opt-n", "opt-keys", "trace-token", "tree-file", "verify-keys",
         "verify-missing-tree", "verify-missing-trace", "compare-missing-file",
         "compare-not-json", "compare-not-object", "compare-missing-field",
         "compare-unknown-field", "compare-mistyped-field", "plot-data-null-field",
         "compare-negative-n", "compare-nan-ratio", "zipf-nan", "zipf-inf",
-        "zipf-overflow", "zipf-underflow"])
+        "zipf-overflow", "zipf-underflow", "zipf-total-overflow"])
 def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     """Malformed input exits 2 with a usage message, never with a traceback
     and never with exit 1, which ``verify`` keeps for an invalid trace."""
@@ -355,6 +358,23 @@ def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     assert out.exit_code == 2, out.output
     assert isinstance(out.exception, SystemExit)
     assert bad in out.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--chain", "wrap+interleave", "--shape", "linear-left", "--n", "256", "--m", "20"],
+     "GuaranteeViolation: access segment of 774 ops exceeds 3*c*log2(n) = 648.0"),
+    (["--chain", "wrap+online", "--shape", "linear-right", "--n", "2048", "--m", "1"],
+     "GuaranteeViolation: request cost 6195 exceeds K*f(n) = 3520.0"),
+], ids=["interleave", "online"])
+def test_cli_run_reports_a_tripped_guarantee_in_one_line(args, message):
+    """A lazy restructure of a long start path trips the transform's cap;
+    ``run`` names the exception and its message on one line and exits 1,
+    with no traceback."""
+    out = CliRunner().invoke(cli_main, ["run", "--lazy", *args])
+    assert out.exit_code == 1, out.output
+    assert isinstance(out.exception, SystemExit)
+    assert out.output.startswith(message) and out.output.count("\n") == 1
+    assert "Traceback" not in out.output
 
 
 def test_cli_compare(tmp_path):

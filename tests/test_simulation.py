@@ -16,6 +16,7 @@ from deamort.sequences import SequenceSpec
 from deamort.simulation import (
     Simulator,
     VirtualTree,
+    WrappedAlgorithm,
     decode_virtual,
     dump_state,
     wrap,
@@ -76,17 +77,36 @@ def test_build_chain_refuses_an_unknown_chain():
         build_chain("splay", "wrap+nothing", ModelTree.new_tree(3, "balanced"))
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("chain", ["wrap", "wrap+interleave", "wrap+online"])
+def test_every_layer_of_a_wrapped_chain_has_the_simulator_as_its_tree(chain, lazy):
+    """The physical tree is one object: the simulator, a ``ModelTree``,
+    shared as ``tree`` by the wrapped layer and any transform over it."""
+    alg = build_chain("splay", chain, ModelTree.new_tree(15, "balanced"), lazy=lazy)
+    sim = alg.tree
+    assert isinstance(sim, Simulator) and isinstance(sim, ModelTree)
+    wrapped = alg if chain == "wrap" else alg.inner
+    assert isinstance(wrapped, WrappedAlgorithm)
+    assert wrapped.tree is sim and wrapped.sim is sim
+    assert sim.height() == sim.hgt[sim.root] and sim.copy().check_bst()
+
+
+def test_a_raw_chain_tree_is_not_a_simulator():
+    alg = build_chain("splay", "none", ModelTree.new_tree(15, "balanced"))
+    assert not isinstance(alg.tree, Simulator)
+
+
 def test_build_single_node():
     sim = Simulator(_vt(1))
-    assert sim.pt.n == 1 and sim.pt.root == 1
+    assert sim.n == 1 and sim.root == 1
 
 
 def test_build_linear_right_one_heavy_path():
     n = 9
     sim = Simulator(_vt(n, "linear-right"))
     # path end n becomes the block root under the virtual root's right slot
-    assert sim.pt.root == 1
-    assert sim.pt.hgt[sim.pt.root] <= DEPTH_MULT * math.log2(n) + DEPTH_ADD
+    assert sim.root == 1
+    assert sim.hgt[sim.root] <= DEPTH_MULT * math.log2(n) + DEPTH_ADD
     assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
     assert not sim.check_state()
 
@@ -361,7 +381,7 @@ def test_dump_state_of_a_lazy_run_off_the_virtual_root():
     ([BstOp.RIGHT], lambda sim: sim.apply_virtual(BstOp.RIGHT), "illegal R at finger 3: no child"),
     ([], lambda sim: sim.apply_virtual(BstOp.PARENT), "illegal P at finger 2: virtual finger at root"),
     ([], lambda sim: sim.apply_virtual(BstOp.ROTATE), "illegal U at finger 2: virtual finger at root"),
-    ([BstOp.LEFT], lambda sim: sim.rotate_up(sim.pt.root), "illegal U at finger 1: rotate at the physical root"),
+    ([BstOp.LEFT], lambda sim: sim.rotate_up(sim.root), "illegal U at finger 1: rotate at the physical root"),
 ], ids=["L-at-leaf", "R-at-leaf", "P-at-root", "U-at-root", "rotate_up-at-physical-root"])
 def test_illegal_virtual_op_raises(before, illegal, reason):
     from deamort.model import IllegalOpError
@@ -495,23 +515,23 @@ def test_walk_to_emits_the_walk_ops_moves(data, n, lazy, pairs):
 
     t = ModelTree.new_tree(n, insertion_shape(data.draw(st.permutations(range(1, n + 1)))))
     sim = Simulator(VirtualTree(t), lazy=lazy)
-    pt, ops = sim.pt, sim.trace.ops
+    ops = sim.trace.ops
     for a, b in pairs:
-        src = pt.root if a == "root" else (a - 1) % n + 1
-        near = _within_two_edges(pt, src)
+        src = sim.root if a == "root" else (a - 1) % n + 1
+        near = _within_two_edges(sim, src)
         if isinstance(b, tuple):
             dst = near[b[1] % len(near)] if near else src
         else:
-            dst = src if b == "same" else pt.root if b == "root" else (b - 1) % n + 1
-        pt.finger = src
+            dst = src if b == "same" else sim.root if b == "root" else (b - 1) % n + 1
+        sim.finger = src
         start = len(ops)
         sim.walk_to(dst)
-        assert bytes(ops[start:]) == bytes(walk_ops(pt.left, pt.parent, src, dst))
-        assert pt.finger == dst
-        pt.finger = src
+        assert bytes(ops[start:]) == bytes(walk_ops(sim.left, sim.parent, src, dst))
+        assert sim.finger == dst
+        sim.finger = src
         for op in ops[start:]:
-            pt.apply_op(op)
-        assert pt.finger == dst
+            sim.apply_op(op)
+        assert sim.finger == dst
 
 
 # decimal weights such as {0.1, 0.2, 0.3} are left out until structural
@@ -553,7 +573,7 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
         weights = data.draw(st.lists(_WEIGHTS[kind], min_size=n, max_size=n))
     sim = _ProbedSimulator(VirtualTree(ModelTree.new_tree(n, shape), weights), lazy=lazy)
     ref = ModelTree.new_tree(n, shape)
-    t0 = sim.pt.copy()
+    t0 = sim.copy()
     seq = []
     for pick in picks:
         f = ref.finger
@@ -567,12 +587,12 @@ def test_arbitrary_virtual_op_streams(kind, lazy, data, n, shape, picks):
         seq.append(ref.finger)
         errs = sim.check_state()
         assert not errs, errs
-        _assert_heights_exact(sim.pt)
+        _assert_heights_exact(sim)
         assert (sim.vt.left, sim.vt.right, sim.vt.root) == (ref.left, ref.right, ref.root)
         assert sim.vt.check_bst()
         assert sim.vt.height() == ref.height() and sim.vt.hgt == ref.hgt
         assert decode_virtual(sim) == (ref.left, ref.right, ref.root)
-        assert sim.pt.root == ref.finger
+        assert sim.root == ref.finger
         assert not sim.depth_bound_violations(DEPTH_MULT, DEPTH_ADD)
     rep = verify_trace(t0, sim.trace, seq, boundaries=sim.trace.boundaries)
     assert rep.valid, rep.reason

@@ -59,7 +59,7 @@ def run_cell(cell):
     weights = _weights(wk, rng)
     keys = [rng.randint(1, N) for _ in range(M)]
     alg = build_chain(algo, chain, ModelTree.new_tree(N, shape), weights, mode == "lazy")
-    sim = getattr(alg, "sim", None) or alg.inner.sim
+    sim = alg.tree  # every layer of a wrapped chain shares the simulator
     trip = None
     done = 0  # ops of the completed accesses
     for i, k in enumerate(keys):
