@@ -24,6 +24,9 @@ FROZEN: dict[str, float] = {
     "INTERLEAVE_C": 27.0,
     # Physical-to-virtual cost ratio of the simulation, measured ~11.4 peak
     # (splay, n=1024, uniform); frozen with headroom. Calibrated 2026-08.
+    # Since virtual rotations pop the path parent in place, calibrate()
+    # measures ~8.8 (splay, n=512, uniform; ~10.9 before); the frozen
+    # ceiling stays.
     "C_SIM": 16.0,
     # Splay sequential-scan cost per key, model ops. Measured ~6.0 across
     # n in {256, 1024, 4096}; frozen with headroom. Calibrated 2026-08.

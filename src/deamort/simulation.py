@@ -141,8 +141,8 @@ class Simulator(LazyRestructuring, ModelTree):
     - :meth:`_sink_into_block` lifts several nodes in turn over one node,
       then the root of that node's heavier block, restructured first if it
       is still a raw subtree, and pushes the node onto that block's stack;
-    - :meth:`_vrotate` leaves the heights of the rotation before its sink to
-      the sink's pass too.
+    - :meth:`_vrotate` rotates nothing before its sink: the path parent
+      pops off its stack where it stands, under the root.
 
     Lazy restructuring rotates a region into shape with :meth:`_rotate` and
     makes one pass over the region afterwards.
@@ -354,12 +354,13 @@ class Simulator(LazyRestructuring, ModelTree):
         side, forming the block for subtree(x). x sinks one level per
         counted rotation, the finger walked to each node first, and ends
         under the nodes of ``over`` in reverse, each hanging from the one
-        before it. The heavier side, restructured first if it is still a raw
-        subtree, has its block root xT lifted over x as one more such
-        rotation, and one height pass over x, xT and ``over`` in reverse,
-        children before parents, covers both. A restructure's own pass may
-        climb through the sink's stale heights; the final pass recomputes
-        each of them."""
+        before it; ``over`` is empty after a pop that emptied x's stack, and
+        the root changes only if ``over[0]`` rises to it. The heavier side,
+        restructured first if it is still a raw subtree, has its block root
+        xT lifted over x as one more such rotation, and one height pass over
+        x, xT and ``over`` in reverse, children before parents, covers both.
+        A restructure's own pass may climb through the sink's stale heights;
+        the final pass recomputes each of them."""
         left, right, parent, wsub, weight = self.left, self.right, self.parent, self.wsub, self.weight
         ops = self.trace.ops
         for v in over:
@@ -368,7 +369,7 @@ class Simulator(LazyRestructuring, ModelTree):
             wsub[v] = wsub[x]
             wsub[x] = weight[x] + wsub[left[x]] + wsub[right[x]]
             ops.append(_U)
-        if not parent[over[0]]:
+        if over and not parent[over[0]]:
             self.root = over[0]
         vt = self.vt
         s = vt.solid(x)
@@ -498,14 +499,12 @@ class Simulator(LazyRestructuring, ModelTree):
         if zone_p.top_element() != p:
             raise PathStackError(f"path parent {p} does not top its stack")
         vt.apply_rotation()
-        # lift p over f with no climb, settle the stack, then sink p into the
-        # slot that already holds its own hanging subtree. The sink's one
-        # height pass covers p and f, both ends of the lift, and the stack
-        # restore between climbs only up to p
-        self._rotate(p)
+        # p stays where it is, f's child: the pop restores only the stack
+        # below p, then p sinks into the slot that already holds its own
+        # hanging subtree, under the stack's new top u if the pop left one
         zone_p.pop_extracted()
         u = zone_p.top_element()
-        self._sink_into_block(p, (f, u) if u else (f,))
+        self._sink_into_block(p, (u,) if u else ())
 
     # -- verification helpers ---------------------------------------------------
 

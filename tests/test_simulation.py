@@ -620,3 +620,162 @@ def test_heights_exact_after_every_virtual_op(algo, kind, lazy, data, n, keys):
     for k in keys:
         for _ in w.access_stream((k - 1) % n + 1):
             _assert_heights_exact(w.tree)
+
+
+class _LiftAndUndoSimulator(Simulator):
+    """The virtual rotation as a lift and its undo, the reference for the
+    in-place pop: lift the path parent p over the physical root f, pop p's
+    stack with p on top, then rotate f straight back over p as the first
+    rotation of p's sink."""
+
+    def _vrotate(self):
+        vt = self.vt
+        f = vt.finger
+        p = vt.parent[f]
+        zone_p = self.zL if p < f else self.zR
+        vt.apply_rotation()
+        self._rotate(p)
+        zone_p.pop_extracted()
+        u = zone_p.top_element()
+        self._sink_into_block(p, (f, u) if u else (f,))
+
+
+class _BranchProbe(Simulator):
+    """Notes the branches a virtual rotation reaches: a pop that empties the
+    path parent's stack, so the sink has nothing to rotate over it, and a
+    raw heavier side that the sink restructures."""
+
+    def __init__(self, *args, **kwargs):
+        self.reached = set()
+        self._rotating = False
+        super().__init__(*args, **kwargs)
+
+    def _vrotate(self):
+        self._rotating = True
+        try:
+            super()._vrotate()
+        finally:
+            self._rotating = False
+
+    def _sink_into_block(self, x, over):
+        if self._rotating and not over:
+            self.reached.add("emptied stack")
+        super()._sink_into_block(x, over)
+
+    def _restructure(self, c):
+        if self._rotating:
+            self.reached.add("raw heavier side")
+        return super()._restructure(c)
+
+
+def _sim_state(sim, exact_weights):
+    state = (sim.left, sim.right, sim.parent, sim.root, sim.hgt, sim.next_bit,
+             {x: ctl.entry for x, ctl in sim.blocks.items()}, sim.raw, decode_virtual(sim))
+    return state + (sim.wsub,) if exact_weights else state
+
+
+def _run_both_schedules(algo, n, shape, weights, lazy, keys):
+    """Wrap ``algo`` twice, with the in-place pop and with the lift-and-undo
+    reference, and feed both the same virtual ops: after every op the two
+    physical worlds agree, a rotation's burst is at least 4 ops shorter and
+    any other burst equally long. Returns the branches reached."""
+    inner = _ALGOS[algo](ModelTree.new_tree(n, shape))
+    new = _BranchProbe(VirtualTree(inner.tree, weights), lazy=lazy)
+    ref = _LiftAndUndoSimulator(VirtualTree(inner.tree, weights), lazy=lazy)
+    # sums of small ints are exact floats in any order; exp weights' sums
+    # may round differently as the two schedules recompute different nodes
+    exact = weights is None or all(isinstance(x, int) for x in weights)
+    assert _sim_state(new, exact) == _sim_state(ref, exact)
+    virtual = inner.trace
+    for k in keys:
+        inner.access(k)
+        ops = virtual.ops[:]
+        del virtual.ops[:], virtual.boundaries[:]
+        for op in ops:
+            a, b = new.apply_virtual(op), ref.apply_virtual(op)
+            if op == BstOp.ROTATE:
+                assert a <= b - 4, (a, b)
+            else:
+                assert a == b, (op, a, b)
+            assert _sim_state(new, exact) == _sim_state(ref, exact)
+    assert not new.check_state()
+    return new.reached
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("kind", ["unit", *_WEIGHTS])
+@pytest.mark.parametrize("algo", ["splay", "mtr"])
+@given(data=st.data(), n=st.integers(2, 40),
+       shape=st.sampled_from(["balanced", "linear-right", "linear-left", "insertion"]),
+       keys=st.lists(st.integers(1, 10_000), max_size=24))
+@settings(max_examples=15, deadline=None)
+def test_vrotate_pops_in_place_like_lift_and_undo(algo, kind, lazy, data, n, shape, keys):
+    """Popping the path parent where it stands, under the physical root,
+    leaves the physical tree, its heights, path bits, block entries and
+    decoded virtual tree exactly as lifting it over the root, popping, and
+    rotating the root straight back did, after every virtual op; so do the
+    subtree weights where sums are exact. Only rotation bursts change, each
+    at least 4 ops shorter."""
+    if shape == "insertion":
+        shape = insertion_shape(data.draw(st.permutations(range(1, n + 1))))
+    weights = None
+    if kind in _WEIGHTS:
+        weights = data.draw(st.lists(_WEIGHTS[kind], min_size=n, max_size=n))
+    _run_both_schedules(algo, n, shape, weights, lazy, [(k - 1) % n + 1 for k in keys])
+
+
+@pytest.mark.parametrize("algo", ["splay", "mtr"])
+def test_vrotate_reference_reaches_both_sink_branches(algo):
+    """The schedules also agree through a rotation's two rarer branches: a
+    pop that empties p's stack, so p sinks over nothing, and a lazy heavier
+    side restructured inside p's sink."""
+    rng = random.Random(1)
+    keys = [rng.randint(1, 24) for _ in range(20)]
+    reached = _run_both_schedules(algo, 24, "balanced", None, True, keys)
+    assert reached == {"emptied stack", "raw heavier side"}
+
+
+@pytest.mark.parametrize("chain", ["wrap", "wrap+online"])
+@pytest.mark.parametrize("algo", list(_ALGOS))
+def test_no_burst_undoes_its_own_rotation(algo, chain):
+    """Replayed burst by burst, a wrapped run's physical trace never has a
+    rotation that the next rotation of the same virtual op's burst rotates
+    straight back. (Pairs that straddle two bursts remain: the transforms
+    may pause between them.)"""
+    n = 64
+    alg = build_chain(algo, chain, ModelTree.new_tree(n, "balanced"))
+    sim = alg.tree
+    bursts = []
+    apply_virtual = sim.apply_virtual
+
+    def marked(op):
+        start = len(sim.trace.ops)
+        burst = apply_virtual(op)
+        bursts.append((start, start + burst))
+        return burst
+
+    sim.apply_virtual = marked
+    replay = sim.copy()
+    rng = random.Random(5)
+    for _ in range(150):
+        alg.access(rng.randint(1, n))
+    ops = sim.trace.ops
+    undone = []
+    done = 0
+    for start, end in bursts:
+        for op in ops[done:start]:
+            replay.apply_op(op)
+        last = None
+        for i in range(start, end):
+            if ops[i] == BstOp.ROTATE:
+                x = replay.finger
+                p = replay.parent[x]
+                if last == (p, x):
+                    undone.append(i)
+                last = (x, p)
+            replay.apply_op(ops[i])
+        done = end
+    for op in ops[done:]:
+        replay.apply_op(op)
+    assert (replay.left, replay.right, replay.root) == (sim.left, sim.right, sim.root)
+    assert bursts and not undone, undone[:10]

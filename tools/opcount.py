@@ -11,17 +11,21 @@ number of ``opcode`` events ``sys.settrace`` delivers, so it depends on
 the program and the Python version, never on the host's speed: two runs
 of one checkout on one interpreter print the same line.
 
-Beside the counts it prints the simulator's O(n) state: the bytes that
+Beside the counts it prints the model cost of the online-uniform analogue,
+its simulator's physical ops per virtual op (the measured side of
+``C_SIM``), and the simulator's O(n) state: the bytes that
 ``tracemalloc`` sees held by an eager ``wrap`` of splay over a balanced
 tree of n=2^14 nodes (the virtual tree, the physical arrays and every
 block's record and stacks), taken right after construction. That number
-also depends only on the program and the Python version.
+also depends only on the program and the Python version; the model cost
+only on the program.
 
 Usage, from the repository root::
 
     python3 tools/opcount.py
 
-prints one JSON object: the Python version, per analogue its count, and
+prints one JSON object: the Python version, per analogue its count (and
+after online-uniform's, ``online-uniform-phys-per-virtual``), and
 ``wrap-state-bytes``.
 """
 
@@ -38,7 +42,7 @@ import tracemalloc
 _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
-from deamort.algorithms import SplayAlgorithm  # noqa: E402
+from deamort.algorithms import OnlineBstAlgorithm, SplayAlgorithm  # noqa: E402
 from deamort.experiments import build_chain, run_accesses  # noqa: E402
 from deamort.model import ModelTree  # noqa: E402
 from deamort.sequences import gen_sequence  # noqa: E402
@@ -54,8 +58,9 @@ ANALOGUES = {
 }
 
 
-def count(name: str) -> int:
-    """Bytecodes executed by the access loop of one analogue."""
+def count(name: str) -> tuple[int, OnlineBstAlgorithm]:
+    """Bytecodes executed by the access loop of one analogue, and the chain
+    it ran."""
     n, m = ANALOGUES[name]
     args = dataclasses.replace(WORKLOADS[name], n=n, m=m).experiment_args(0, 0)
     seq = gen_sequence(args["spec"])
@@ -79,7 +84,7 @@ def count(name: str) -> int:
         run_accesses(alg, seq)
     finally:
         sys.settrace(None)
-    return events
+    return events, alg
 
 
 def wrap_state_bytes() -> int:
@@ -98,7 +103,11 @@ def wrap_state_bytes() -> int:
 
 def main() -> None:
     out = {"python": platform.python_version()}
-    out.update((name, count(name)) for name in ANALOGUES)
+    for name in ANALOGUES:
+        out[name], alg = count(name)
+        if name == "online-uniform":
+            c = alg.tree.counters
+            out["online-uniform-phys-per-virtual"] = round(c.physical_ops / c.virtual_ops, 4)
     out["wrap-state-bytes"] = wrap_state_bytes()
     print(json.dumps(out))
 
