@@ -4,17 +4,24 @@ Each algorithm owns a :class:`ModelTree` and a :class:`Trace`, and serves one
 key at a time: ``access`` appends the operations for that key to
 ``self.trace``, already applied to the tree, then the access boundary, and
 returns the number of operations it appended. ``access_stream`` yields the
-same work in bursts, each burst the number of operations it appended; it
-serves the layers that the transforms wrap, which pause between bursts. The
-transforms themselves serve whole accesses only. These reference algorithms
-keep no state besides the tree and the trace.
+same work in bursts, each burst a pair: the number of operations it appended
+and whether it is the stream's last. It serves the layers that the
+transforms wrap, which pause between bursts; the flag tells them that a
+stream has ended without pulling one burst more. The transforms themselves
+serve whole accesses only. These reference algorithms keep no state besides
+the tree and the trace.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .model import _U, _U1, ModelTree, Trace, descend, rotate_edge, splay_step, walk_ops
+
+
+# an access's op stream: per burst, its op count and whether it is the last
+Stream = Iterator[tuple[int, bool]]
 
 
 class AlgorithmInvariantError(RuntimeError):
@@ -30,15 +37,16 @@ class OnlineBstAlgorithm:
         self.trace = Trace()
 
     def access(self, key: int) -> int:
-        cost = sum(self.access_stream(key))
+        cost = sum(map(itemgetter(0), self.access_stream(key)))
         self.trace.boundaries.append(len(self.trace.ops))
         return cost
 
-    def access_stream(self, key: int) -> Iterator[int]:
+    def access_stream(self, key: int) -> Stream:
         """Append one access's ops to ``self.trace`` in bursts, yielding
-        each burst's op count. The tree is mutated as bursts are produced;
-        the finger is at the root whenever that is structurally guaranteed
-        (see each algorithm)."""
+        each burst's op count and whether it is the last burst; a stream
+        yields at least one burst and ends after the one flagged last. The
+        tree is mutated as bursts are produced; the finger is at the root
+        whenever that is structurally guaranteed (see each algorithm)."""
         raise NotImplementedError
 
     def _require_key(self, key: int) -> None:
@@ -59,8 +67,8 @@ class _OneBurstAlgorithm(OnlineBstAlgorithm):
         self.trace.boundaries.append(len(self.trace.ops))
         return cost
 
-    def access_stream(self, key: int) -> Iterator[int]:
-        yield self.serve(key)
+    def access_stream(self, key: int) -> Stream:
+        yield self.serve(key), True
 
 
 class StaticAlgorithm(_OneBurstAlgorithm):

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .algorithms import OnlineBstAlgorithm
+from .algorithms import OnlineBstAlgorithm, Stream
 from .model import _L, _P, _R, _U, _U1, IllegalOpError, ModelTree, Trace, rotate_edge, walk_ops
 from .poptart import ChocolatePopTart
 from .restructure import LazyRestructuring
@@ -563,13 +563,17 @@ class WrappedAlgorithm(OnlineBstAlgorithm):
         self.n = inner.n
         self.trace = self.sim.trace
 
-    def access_stream(self, key: int) -> Iterator[int]:
+    def access_stream(self, key: int) -> Stream:
+        """One burst per virtual op, the last flagged; an access of no
+        virtual ops is one empty last burst."""
         virtual = self.inner.trace
         self.inner.access(key)
         ops = virtual.ops[:]
         del virtual.ops[:], virtual.boundaries[:]
+        last = ops.pop() if ops else None
         for op in ops:
-            yield self.sim.apply_virtual(op)
+            yield self.sim.apply_virtual(op), False
+        yield (0 if last is None else self.sim.apply_virtual(last)), True
 
 
 def wrap(inner: OnlineBstAlgorithm, weights: Optional[Sequence[float]] = None,

@@ -15,7 +15,12 @@ next cell, and every queue operation pays the finger walks needed to reach
 its cells. Per request the transform runs up to three routines: drain queued
 streams within d*f(n) ops (d is the frozen ``ONLINE_D``), advance the newest
 key's stream within f(n) ops, and, if that stream is still unfinished, answer
-the request with a direct search and enqueue the key.
+the request with a direct search and enqueue the key. A new cell hosted at
+the key itself is written while that search has the finger on the key, so
+the search pays for it; only a cell that must live elsewhere, because the
+key's node already hosts one, costs a walk of its own. A stream flags its
+last burst, so a stream whose last burst spends a budget exactly counts as
+finished.
 
 Both transforms share the wrapped layer's trace and pause the wrapped layer
 between the bursts of its ``access_stream``, but serve whole accesses
@@ -31,9 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from .algorithms import OnlineBstAlgorithm
+from .algorithms import OnlineBstAlgorithm, Stream
 from .constants import FROZEN
 from .model import ModelTree, descend
 
@@ -64,7 +69,7 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
         self._cap = 3.0 * FROZEN["INTERLEAVE_C"] * log_n
         self._since_boundary = 0
         self._segment = 0
-        self._gen: Optional[Iterator[int]] = None
+        self._gen: Optional[Stream] = None
         self._unstarted: list[int] = []
         self.forced_accesses = 0
         self.total_ops = 0
@@ -106,10 +111,9 @@ class InterleavedAlgorithm(OnlineBstAlgorithm):
                         f"the input algorithm's stream for {key} ended with the "
                         f"finger on {t.finger}, not on the key")
                 self._gen = self.inner.access_stream(self._unstarted.pop(0))
-            burst = next(self._gen, None)
-            if burst is None:
+            burst, last = next(self._gen)
+            if last:
                 self._gen = None
-                continue
             self.total_ops += burst
             self.original_ops += burst
             self._segment += burst
@@ -124,7 +128,16 @@ def interleave_transform(inner: OnlineBstAlgorithm) -> InterleavedAlgorithm:
 
 
 class WorkQueue:
-    """FIFO of keys threaded through tree nodes, paid for with finger walks."""
+    """FIFO of keys threaded through tree nodes, paid for with finger walks.
+
+    Every cell is read or written with the finger on its host, so a queue
+    operation pays a round trip from the root to each cell it touches, with
+    one exception. Routine C enqueues a key only to answer its request with
+    a direct search to that key, and a new cell hosted at the key is written
+    while the search has the finger there: that cell is paid for by routine
+    C's search, and :meth:`enqueue` walks only to the old tail and to a host
+    other than the key.
+    """
 
     def __init__(self, tree: ModelTree):
         self.tree = tree
@@ -154,17 +167,25 @@ class WorkQueue:
         return ops
 
     def enqueue(self, key: int) -> bytearray:
-        if len(self.cells) >= self.tree.n:
+        """Queue ``key``; the walks it pays, all from the root and back.
+        The caller's direct search from the root to ``key``, which follows
+        these walks in the trace, writes a cell hosted at the key."""
+        t = self.tree
+        if len(self.cells) >= t.n:
             raise GuaranteeViolation(
                 f"queue overflow with {len(self.cells)} cells: the input algorithm "
                 "broke its O(n f(n) + k f(n)) total-work guarantee")
+        if t.finger != t.root:
+            raise GuaranteeViolation(
+                f"enqueue of {key} starts at finger {t.finger}, not at the root {t.root}")
         host = self._free_host(key)
         ops = bytearray()
         if self.tail:
             qk, _ = self.cells[self.tail]
             ops += self._walk(self.tail)  # rewrite the old tail's next pointer
             self.cells[self.tail] = (qk, host)
-        ops += self._walk(host)
+        if host != key:
+            ops += self._walk(host)
         self.cells[host] = (key, 0)
         self.tail = host
         if not self.head:
@@ -208,18 +229,19 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         self.f_n = math.log2(max(self.n, 2))
         self.queue = WorkQueue(self.tree)
         self.counters = OnlineCounters()
-        self._proc: Optional[Iterator[int]] = None  # oldest key's suspended stream
+        self._proc: Optional[Stream] = None  # oldest key's suspended stream
         self._pending_up = 0
         self._cap = FROZEN["ONLINE_K"] * self.f_n
 
-    def _pull(self, gen: Iterator[int], budget: float) -> tuple[int, bool]:
-        """Advance a suspended op stream until the budget is spent or it ends."""
+    def _pull(self, gen: Stream, budget: float) -> tuple[int, bool]:
+        """Advance a suspended op stream until the budget is spent or its
+        last burst has run; the ops spent and whether the stream ended."""
         done = 0
         while done < budget:
-            burst = next(gen, None)
-            if burst is None:
-                return done, True
+            burst, last = next(gen)
             done += burst
+            if last:
+                return done, True
         return done, False
 
     def access(self, key: int) -> int:
@@ -252,7 +274,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
                     spent += len(walk)
                 else:
                     break
-        gen: Optional[Iterator[int]] = None
+        gen: Optional[Stream] = None
         finished = False
         if not len(q):
             ran += "B"
@@ -264,10 +286,8 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
                     f"finger on {t.finger}, not on the key")
         if not finished:
             ran += "C"
-            ops += q.enqueue(key)
-            if t.finger != t.root:
-                raise GuaranteeViolation(f"direct search for {key} starts at finger "
-                                         f"{t.finger}, not at the root {t.root}")
+            ops += q.enqueue(key)  # checks that the finger is at the root
+            # the direct search, which writes a cell that enqueue hosted at the key
             down = descend(t.left, t.right, t.root, key)[1]
             ops += down
             t.finger = key

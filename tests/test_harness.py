@@ -364,7 +364,7 @@ def test_cli_malformed_input_is_a_usage_error(tmp_path, args, bad):
     (["--chain", "wrap+interleave", "--shape", "linear-left", "--n", "256", "--m", "20"],
      "GuaranteeViolation: access segment of 774 ops exceeds 3*c*log2(n) = 648.0"),
     (["--chain", "wrap+online", "--shape", "linear-right", "--n", "2048", "--m", "1"],
-     "GuaranteeViolation: request cost 6195 exceeds K*f(n) = 3520.0"),
+     "GuaranteeViolation: request cost 6157 exceeds K*f(n) = 3520.0"),
 ], ids=["interleave", "online"])
 def test_cli_run_reports_a_tripped_guarantee_in_one_line(args, message):
     """A lazy restructure of a long start path trips the transform's cap;

@@ -2,10 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deamort.algorithms import OnlineBstAlgorithm, SplayAlgorithm, StaticAlgorithm
+from deamort.algorithms import (
+    MoveToRootAlgorithm,
+    OnlineBstAlgorithm,
+    SplayAlgorithm,
+    StaticAlgorithm,
+)
 from deamort.constants import FROZEN
 from deamort.model import BstOp, ModelTree, verify_trace
+from deamort.optsearch import insertion_shape
+from deamort.sequences import SequenceSpec, gen_sequence
 from deamort.simulation import wrap
 from deamort.transforms import (
     GuaranteeViolation,
@@ -73,7 +81,7 @@ class _MissesKey(OnlineBstAlgorithm):
     """A stream that ends without ever moving the finger to the key."""
 
     def access_stream(self, key):
-        yield 0
+        yield 0, True
 
 
 class _NeverFinishes(OnlineBstAlgorithm):
@@ -85,19 +93,29 @@ class _NeverFinishes(OnlineBstAlgorithm):
             t.apply_op(BstOp.LEFT)
             t.apply_op(BstOp.PARENT)
             self.trace.ops.extend((BstOp.LEFT, BstOp.PARENT))
-            yield 2
+            yield 2, False
 
 
 class _DetoursFirst(StaticAlgorithm):
-    """A legal first burst of L P round trips from the root, just past the
-    online cap K*f(n), then the walk to the key. A round trip leaves the
-    tree as it was, so the burst is appended without being applied."""
+    """Bursts of L P round trips from the root, then the walk to the key.
+    ``detours`` gives per key the ops of each round-trip burst, the last
+    entry being the round trips that share the last burst with the walk. A
+    round trip leaves the tree as it was, so it is appended without being
+    applied."""
+
+    def __init__(self, tree, detours):
+        super().__init__(tree)
+        self.detours = detours
+
+    def _round_trips(self, ops):
+        self.trace.ops.extend([BstOp.LEFT, BstOp.PARENT] * (ops // 2))
+        return ops
 
     def access_stream(self, key):
-        trips = math.ceil(FROZEN["ONLINE_K"] * math.log2(self.n) / 2)
-        self.trace.ops.extend([BstOp.LEFT, BstOp.PARENT] * trips)
-        yield 2 * trips
-        yield self.serve(key)
+        *bursts, last = self.detours.get(key, [0])
+        for ops in bursts:
+            yield self._round_trips(ops), False
+        yield self._round_trips(last) + self.serve(key), True
 
 
 @pytest.mark.parametrize("transform", [interleave_transform, online_transform],
@@ -109,11 +127,39 @@ def test_stream_that_never_reaches_the_key_trips(transform):
 
 
 def test_online_request_over_the_cap_trips():
-    # 900 burst ops, then routine C enqueues key 1 (a round trip to depth 2)
-    # and answers it by a direct search: 906 ops against K*log2(7) = 898.4
-    a3 = online_transform(_DetoursFirst(ModelTree.new_tree(7, "balanced")))
-    with pytest.raises(GuaranteeViolation, match=r"request cost 906 exceeds K\*f\(n\) = 898\.4"):
+    # 900 burst ops, then routine C enqueues key 1 into a cell at the key,
+    # written by its direct search to depth 2: 902 ops against K*log2(7) = 898.4
+    trips = math.ceil(FROZEN["ONLINE_K"] * math.log2(7) / 2)  # just past the cap
+    a3 = online_transform(_DetoursFirst(ModelTree.new_tree(7, "balanced"), {1: [2 * trips, 0]}))
+    with pytest.raises(GuaranteeViolation, match=r"request cost 902 exceeds K\*f\(n\) = 898\.4"):
         a3.access(1)
+
+
+def test_online_stream_ending_exactly_on_f_n_runs_routine_b_alone():
+    # f(16) = 4: a round trip and the walk to key 2 at depth 2 spend B's
+    # budget exactly with the stream's last burst, so the request is served
+    # by B; no cell is queued and no direct search follows
+    t0 = ModelTree.new_tree(16, "balanced")
+    a3 = online_transform(_DetoursFirst(t0.copy(), {2: [2]}))
+    assert a3.access(2) == 4
+    assert a3.counters.actions == {"B": 1}
+    assert not len(a3.queue) and a3.tree.finger == 2 and not a3._pending_up
+    assert verify_trace(t0, a3.trace, [2], boundaries=a3.trace.boundaries).valid
+
+
+def test_online_stream_ending_exactly_on_a_budget_is_dequeued_at_once():
+    # the root's stream spends f(16) = 4 in routine B and is queued; in the
+    # next request its last two bursts spend routine A's d*f(n) exactly, so
+    # A dequeues it then and B serves the new key
+    budget = int(FROZEN["ONLINE_D"] * math.log2(16))
+    t0 = ModelTree.new_tree(16, "balanced")
+    a3 = online_transform(_DetoursFirst(t0.copy(), {8: [2, 2, budget - 64, 64]}))
+    a3.access(8)
+    assert a3.counters.actions == {"BC": 1} and len(a3.queue) == 1
+    a3.access(4)
+    assert a3.counters.actions == {"BC": 1, "AB": 1}
+    assert not len(a3.queue) and a3._proc is None
+    assert verify_trace(t0, a3.trace, [8, 4], boundaries=a3.trace.boundaries).valid
 
 
 def test_online_stream_that_never_finishes_overflows_the_queue():
@@ -169,9 +215,12 @@ def test_workqueue_overflow_guard():
 def test_workqueue_walk_off_root_guard():
     t = ModelTree.new_tree(7, "balanced")
     q = WorkQueue(t)
+    q.enqueue(6)
     t.apply_op(BstOp.LEFT)
     with pytest.raises(GuaranteeViolation, match="starts at finger 2, not at the root 4"):
         q.enqueue(5)
+    with pytest.raises(GuaranteeViolation, match="queue walk to 6 starts at finger 2"):
+        q.dequeue()
 
 
 def test_workqueue_duplicate_keys_get_distinct_hosts():
@@ -256,3 +305,109 @@ def test_online_prefix_property_of_transforms():
                 alg.access(k)
             assert alg.trace.ops[: len(prev)] == prev
             prev = alg.trace.ops
+
+
+class _HostWalkQueue(WorkQueue):
+    """Routine C's enqueue as a walk of its own to the new cell's host, even
+    when the host is the key that C's direct search then reaches: the
+    reference for writing that cell during the search. ``saved`` is the
+    length of the last such walk to the key; ``elsewhere`` counts the cells
+    whose host is not their key."""
+
+    def __init__(self, tree):
+        super().__init__(tree)
+        self.saved = 0
+        self.elsewhere = 0
+
+    def enqueue(self, key):
+        host = self._free_host(key)
+        ops = bytearray()
+        if self.tail:
+            qk, _ = self.cells[self.tail]
+            ops += self._walk(self.tail)
+            self.cells[self.tail] = (qk, host)
+        walk = self._walk(host)
+        ops += walk
+        if host == key:
+            self.saved = len(walk)
+        else:
+            self.elsewhere += 1
+        self.cells[host] = (key, 0)
+        self.tail = host
+        if not self.head:
+            self.head = host
+        return ops
+
+
+def _run_both_queues(algo, n, shape, weights, lazy, keys):
+    """Run ``wrap+online`` over ``algo`` twice, with the cell at the key
+    written by routine C's search and with the host-walk reference. After
+    every request both runs hold the same physical tree, queue and action
+    counts, and the new request's ops are the reference's without the walk
+    to a host that is the key. Returns the number of cells hosted
+    elsewhere."""
+    make = {"splay": SplayAlgorithm, "mtr": MoveToRootAlgorithm}[algo]
+    new, ref = (online_transform(wrap(make(ModelTree.new_tree(n, shape)), weights, lazy))
+                for _ in range(2))
+    ref.queue = _HostWalkQueue(ref.tree)
+    t0 = new.tree.copy()
+    for k in keys:
+        ref.queue.saved = 0
+        a, b = len(new.trace.ops), len(ref.trace.ops)
+        new.access(k)
+        ref.access(k)
+        # the saved walk goes down to the key and back just before C's search down
+        d = ref.queue.saved // 2
+        want = ref.trace.ops[b:]
+        if d:
+            want = want[:-3 * d] + want[-d:]
+        assert new.trace.ops[a:] == want
+        s, r = new.tree, ref.tree
+        assert (s.left, s.right, s.parent, s.root) == (r.left, r.right, r.parent, r.root)
+        q, rq = new.queue, ref.queue
+        assert (q.cells, q.head, q.tail) == (rq.cells, rq.head, rq.tail)
+        assert new.counters.actions == ref.counters.actions
+    for alg in (new, ref):
+        rep = verify_trace(t0, alg.trace, keys, boundaries=alg.trace.boundaries)
+        assert rep.valid, rep.reason
+    return ref.queue.elsewhere
+
+
+def _repeated_keys(rng, n, m):
+    keys = []
+    while len(keys) < m:
+        keys += [rng.randint(1, n)] * rng.randint(1, 6)
+    return keys[:m]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("kind", ["unit", "exp"])
+@pytest.mark.parametrize("algo", ["splay", "mtr"])
+@given(data=st.data(), n=st.integers(2, 48), seed=st.integers(0, 2**16),
+       seq=st.sampled_from(["uniform", "working-set:4", "repeated"]),
+       shape=st.sampled_from(["balanced", "linear-right", "insertion"]))
+@settings(max_examples=12, deadline=None)
+def test_cell_at_the_key_is_written_by_the_direct_search(algo, kind, lazy, data, n, seed, seq,
+                                                         shape):
+    """Writing routine C's new cell during its direct search changes no
+    tree, queue or routine choice; each request only loses the round trip
+    to a host that is the key, and both traces verify."""
+    if shape == "insertion":
+        shape = insertion_shape(data.draw(st.permutations(range(1, n + 1))))
+    weights = None
+    if kind == "exp":
+        weights = data.draw(st.lists(st.floats(0, 12).map(math.exp), min_size=n, max_size=n))
+    m = 40
+    if seq == "repeated":
+        keys = _repeated_keys(random.Random(seed), n, m)
+    else:
+        keys = gen_sequence(SequenceSpec(seq, n, m, seed))
+    _run_both_queues(algo, n, shape, weights, lazy, keys)
+
+
+@pytest.mark.parametrize("algo", ["splay", "mtr"])
+def test_cell_reference_reaches_a_host_that_is_not_the_key(algo):
+    """A key requested again while its first cell still waits gets a cell
+    hosted elsewhere, and routine C still walks to that host."""
+    keys = _repeated_keys(random.Random(3), 128, 60)
+    assert _run_both_queues(algo, 128, "linear-right", None, True, keys) > 0

@@ -11,13 +11,15 @@ number of ``opcode`` events ``sys.settrace`` delivers, so it depends on
 the program and the Python version, never on the host's speed: two runs
 of one checkout on one interpreter print the same line.
 
-Beside the counts it prints the model cost of the online-uniform analogue,
-its simulator's physical ops per virtual op (the measured side of
-``C_SIM``), and the simulator's O(n) state: the bytes that
+Beside the counts it prints two model costs of the online-uniform
+analogue: its simulator's physical ops per virtual op (the measured side
+of ``C_SIM``), and its trace's cost over those physical ops (the online
+transform's overhead: queue walks, direct searches and walks back up).
+Then it prints the simulator's O(n) state: the bytes that
 ``tracemalloc`` sees held by an eager ``wrap`` of splay over a balanced
 tree of n=2^14 nodes (the virtual tree, the physical arrays and every
 block's record and stacks), taken right after construction. That number
-also depends only on the program and the Python version; the model cost
+also depends only on the program and the Python version; the model costs
 only on the program.
 
 Usage, from the repository root::
@@ -25,8 +27,8 @@ Usage, from the repository root::
     python3 tools/opcount.py
 
 prints one JSON object: the Python version, per analogue its count (and
-after online-uniform's, ``online-uniform-phys-per-virtual``), and
-``wrap-state-bytes``.
+after online-uniform's, ``online-uniform-phys-per-virtual`` and
+``online-uniform-overhead``), and ``wrap-state-bytes``.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def main() -> None:
         if name == "online-uniform":
             c = alg.tree.counters
             out["online-uniform-phys-per-virtual"] = round(c.physical_ops / c.virtual_ops, 4)
+            out["online-uniform-overhead"] = round(alg.trace.cost / c.physical_ops, 4)
     out["wrap-state-bytes"] = wrap_state_bytes()
     print(json.dumps(out))
 
