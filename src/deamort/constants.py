@@ -47,9 +47,9 @@ FROZEN: dict[str, float] = {
     # with c' = 1 for f = log2 and c the per-action overhead constant,
     # measured ~14 ops/log2(n) per action; frozen at 32 with headroom.
     "ONLINE_D": 32.0,
-    # Per-request cap K: request cost <= K*f(n). Budgeted A (d*f) + B (f)
-    # + C (~6 depth walks <= 6*27*log2 n) + burst overshoot; measured peak
-    # ~230*log2(n) with d=32; frozen with headroom.
+    # Per-request cap K: request cost <= K*f(n). Budgeted A and B sharing
+    # (d+1)*f + C (~6 depth walks <= 6*27*log2 n) + burst overshoot;
+    # measured peak ~230*log2(n) with d=32; frozen with headroom.
     "ONLINE_K": 320.0,
     # Whole-run cost of the online transform against the raw input
     # algorithm: |A'''(S)| <= K' * |A(S)| once the run is longer than n

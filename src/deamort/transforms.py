@@ -12,15 +12,26 @@ streams are suspended, and the affected keys wait in a FIFO queue threaded
 through tree nodes: a cell lives inside a tree node (addressed by key, so
 rotations cannot disturb it) holding the queued key and the host key of the
 next cell, and every queue operation pays the finger walks needed to reach
-its cells. Per request the transform runs up to three routines: drain queued
-streams within d*f(n) ops (d is the frozen ``ONLINE_D``), advance the newest
-key's stream within f(n) ops, and, if that stream is still unfinished, answer
-the request with a direct search and enqueue the key. A new cell hosted at
-the key itself is written while that search has the finger on the key, so
-the search pays for it; only a cell that must live elsewhere, because the
-key's node already hosts one, costs a walk of its own. A stream flags its
-last burst, so a stream whose last burst spends a budget exactly counts as
-finished.
+its cells. Per request the transform runs up to three routines: A drains
+queued streams within d*f(n) ops (d is the frozen ``ONLINE_D``), B advances
+the newest key's stream, and, if that stream is still unfinished, C answers
+the request with a direct search and enqueues the key. A and B share one
+budget of (d+1)*f(n) ops per request: B gets whatever A has not spent,
+dequeue walks included, so all of it when the queue was empty and nothing
+when A overshot by f(n) or more. A new cell hosted at the key itself is
+written while C's search has the finger on the key, so the search pays for
+it; only a cell that must live elsewhere, because the key's node already
+hosts one, costs a walk of its own. A stream flags its last burst, so a
+stream whose last burst spends a budget exactly counts as finished.
+
+Sharing the budget keeps both guarantees in their form. A's budget is
+d*f(n) whenever the queue is non-empty, as before, so the charging argument
+behind ``ONLINE_D`` (d*c' >= 2c) stands. A starts a burst only below d*f(n)
+spent and B only below (d+1)*f(n), and a dequeue walk follows a finished
+stream's last burst, so A and B together spend at most (d+1)*f(n) plus one
+overshoot: the last burst, with its dequeue walk if it was A's. That is
+within the d*f(n) + f(n) plus two overshoots from which ``ONLINE_K`` was
+derived, so the per-request cap stands too.
 
 Both transforms share the wrapped layer's trace and pause the wrapped layer
 between the bursts of its ``access_stream``, but serve whole accesses
@@ -219,7 +230,18 @@ class OnlineCounters:
 
 class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
     """Caps the work spent on every request at K*f(n), K the frozen
-    ``ONLINE_K``."""
+    ``ONLINE_K``.
+
+    Routines A and B share ``(ONLINE_D + 1) * f(n)`` ops per request. A,
+    run only while the queue is non-empty, stops once it has spent d*f(n),
+    its bursts and dequeue walks counted; B then gets what A left, which is
+    the whole shared budget when A did not run. If A's last burst and walk
+    overshoot d*f(n) by f(n) or more, B pulls nothing: its stream is queued
+    unstarted, routine C answers the request, and the next request's A
+    runs that stream from its first burst. So A keeps the budget that its
+    charging argument needs, and A and B together spend at most (d+1)*f(n)
+    plus one overshoot.
+    """
 
     def __init__(self, inner: OnlineBstAlgorithm):
         self.inner = inner
@@ -232,10 +254,13 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         self._proc: Optional[Stream] = None  # oldest key's suspended stream
         self._pending_up = 0
         self._cap = FROZEN["ONLINE_K"] * self.f_n
+        self._ab_budget = (FROZEN["ONLINE_D"] + 1) * self.f_n
 
     def _pull(self, gen: Stream, budget: float) -> tuple[int, bool]:
         """Advance a suspended op stream until the budget is spent or its
-        last burst has run; the ops spent and whether the stream ended."""
+        last burst has run; the ops spent and whether the stream ended. A
+        budget of zero or less pulls no burst, so a new stream stays
+        unstarted."""
         done = 0
         while done < budget:
             burst, last = next(gen)
@@ -257,10 +282,10 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
             self._pending_up = 0
         ran = ""
         q = self.queue
+        spent = 0.0
         if len(q):
             ran += "A"
             budget = FROZEN["ONLINE_D"] * self.f_n
-            spent = 0.0
             while spent < budget and len(q):
                 if self._proc is None:
                     self.counters.restarts += 1
@@ -279,7 +304,7 @@ class OnlineWorstCaseAlgorithm(OnlineBstAlgorithm):
         if not len(q):
             ran += "B"
             gen = self.inner.access_stream(key)
-            _, finished = self._pull(gen, self.f_n)
+            _, finished = self._pull(gen, self._ab_budget - spent)
             if finished and t.finger != key:
                 raise GuaranteeViolation(
                     f"the input algorithm's stream for {key} ended with the "

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deamort.algorithms import (
+    ALGORITHMS,
     MoveToRootAlgorithm,
     OnlineBstAlgorithm,
     SplayAlgorithm,
@@ -17,6 +19,7 @@ from deamort.sequences import SequenceSpec, gen_sequence
 from deamort.simulation import wrap
 from deamort.transforms import (
     GuaranteeViolation,
+    OnlineWorstCaseAlgorithm,
     WorkQueue,
     interleave_transform,
     online_transform,
@@ -98,8 +101,9 @@ class _NeverFinishes(OnlineBstAlgorithm):
 
 class _DetoursFirst(StaticAlgorithm):
     """Bursts of L P round trips from the root, then the walk to the key.
-    ``detours`` gives per key the ops of each round-trip burst, the last
-    entry being the round trips that share the last burst with the walk. A
+    ``detours`` gives per key the ops of each round-trip burst of the key's
+    first stream, the last entry being the round trips that share the last
+    burst with the walk; a later stream of the key is the walk alone. A
     round trip leaves the tree as it was, so it is appended without being
     applied."""
 
@@ -112,7 +116,7 @@ class _DetoursFirst(StaticAlgorithm):
         return ops
 
     def access_stream(self, key):
-        *bursts, last = self.detours.get(key, [0])
+        *bursts, last = self.detours.pop(key, [0])
         for ops in bursts:
             yield self._round_trips(ops), False
         yield self._round_trips(last) + self.serve(key), True
@@ -135,31 +139,97 @@ def test_online_request_over_the_cap_trips():
         a3.access(1)
 
 
-def test_online_stream_ending_exactly_on_f_n_runs_routine_b_alone():
-    # f(16) = 4: a round trip and the walk to key 2 at depth 2 spend B's
-    # budget exactly with the stream's last burst, so the request is served
-    # by B; no cell is queued and no direct search follows
+# routines A and B share (d+1)*f(16) = 132 ops per request, A's part d*f(16) = 128
+_AB_BUDGET = int((FROZEN["ONLINE_D"] + 1) * math.log2(16))
+_A_BUDGET = int(FROZEN["ONLINE_D"] * math.log2(16))
+
+
+def test_online_stream_ending_exactly_on_the_shared_budget_runs_routine_b_alone():
+    # the queue is empty, so B gets all of (d+1)*f(16) = 132: two round-trip
+    # bursts and a last burst of round trips and the walk to key 2 at depth 2
+    # spend it exactly, so the request is served by B; no cell is queued and
+    # no direct search follows
     t0 = ModelTree.new_tree(16, "balanced")
-    a3 = online_transform(_DetoursFirst(t0.copy(), {2: [2]}))
-    assert a3.access(2) == 4
+    a3 = online_transform(_DetoursFirst(t0.copy(), {2: [64, 64, _AB_BUDGET - 130]}))
+    assert a3.access(2) == _AB_BUDGET
     assert a3.counters.actions == {"B": 1}
     assert not len(a3.queue) and a3.tree.finger == 2 and not a3._pending_up
     assert verify_trace(t0, a3.trace, [2], boundaries=a3.trace.boundaries).valid
 
 
 def test_online_stream_ending_exactly_on_a_budget_is_dequeued_at_once():
-    # the root's stream spends f(16) = 4 in routine B and is queued; in the
-    # next request its last two bursts spend routine A's d*f(n) exactly, so
-    # A dequeues it then and B serves the new key
-    budget = int(FROZEN["ONLINE_D"] * math.log2(16))
+    # the root's stream spends B's whole (d+1)*f(16) = 132 without its last
+    # burst and is queued; in the next request its last two bursts spend
+    # routine A's d*f(16) = 128 exactly, so A dequeues it then (a walk of 0
+    # ops to the root) and B serves the new key with the 4 ops left
     t0 = ModelTree.new_tree(16, "balanced")
-    a3 = online_transform(_DetoursFirst(t0.copy(), {8: [2, 2, budget - 64, 64]}))
-    a3.access(8)
+    a3 = online_transform(_DetoursFirst(t0.copy(), {8: [66, _AB_BUDGET - 66, _A_BUDGET - 64, 64]}))
+    assert a3.access(8) == _AB_BUDGET
     assert a3.counters.actions == {"BC": 1} and len(a3.queue) == 1
-    a3.access(4)
+    assert a3.access(4) == _A_BUDGET + 1
     assert a3.counters.actions == {"BC": 1, "AB": 1}
     assert not len(a3.queue) and a3._proc is None
     assert verify_trace(t0, a3.trace, [8, 4], boundaries=a3.trace.boundaries).valid
+
+
+@pytest.mark.parametrize("short", [2, 0], ids=["lands", "spends"])
+def test_online_routine_b_gets_what_routine_a_left(short):
+    # A spends s = 40 finishing the queued root's stream, so B gets 132 - 40
+    # = 92. Key 2's first burst falls ``short`` of that. With 2 ops to go, B
+    # runs the last burst, the walk to depth 2, and lands on 92 exactly;
+    # with none, B stops there and C's direct search answers the request,
+    # writing the new cell at the key
+    s = 40
+    t0 = ModelTree.new_tree(16, "balanced")
+    a3 = online_transform(_DetoursFirst(t0.copy(), {8: [66, _AB_BUDGET - 66, s],
+                                                    2: [_AB_BUDGET - s - short, 0]}))
+    a3.access(8)
+    if short:
+        assert a3.access(2) == _AB_BUDGET
+        assert a3.counters.actions == {"BC": 1, "AB": 1}
+        assert not len(a3.queue) and a3._proc is None
+    else:
+        assert a3.access(2) == _AB_BUDGET + 2
+        assert a3.counters.actions == {"BC": 1, "ABC": 1}
+        assert len(a3.queue) == 1 and a3._proc is not None
+    assert a3.tree.finger == 2
+    assert verify_trace(t0, a3.trace, [8, 2], boundaries=a3.trace.boundaries).valid
+
+
+def test_online_routine_a_overshoot_leaves_routine_b_nothing():
+    # A's last burst takes it from 100 to 140 ops, past the shared 132, so
+    # B pulls nothing: the root's second stream is queued unstarted and C
+    # answers the request. The next request's A runs that stream to its end
+    # without a restart, and B then serves key 4
+    t0 = ModelTree.new_tree(16, "balanced")
+    a3 = online_transform(_DetoursFirst(t0.copy(), {8: [66, _AB_BUDGET - 66, 100, 40]}))
+    a3.access(8)
+    assert a3.access(8) == 140  # A's bursts; the enqueue and the search to the root are free
+    assert a3.counters.actions == {"BC": 1, "ABC": 1} and len(a3.queue) == 1
+    assert inspect.getgeneratorstate(a3._proc) == inspect.GEN_CREATED
+    assert a3.access(4) == 1
+    assert a3.counters.actions == {"BC": 1, "ABC": 1, "AB": 1}
+    assert not len(a3.queue) and a3._proc is None and a3.counters.restarts == 0
+    assert verify_trace(t0, a3.trace, [8, 8, 4], boundaries=a3.trace.boundaries).valid
+
+
+def test_online_routine_a_keeps_its_own_budget_while_the_queue_waits():
+    # the root's stream is queued after B's 132 ops and the root is asked for
+    # again: A stops at its own d*f(16) = 128 with the stream unfinished, 4 ops
+    # short of the shared budget, and B does not run while the queue waits. C
+    # queues the root in a cell at node 9, its own node hosting the first: a
+    # walk of 6 ops to depth 3 and back. The next request's A finishes the
+    # stream (4 ops), restarts the root's second stream (0 ops), walks 6 ops
+    # to dequeue it, and B serves key 4 with what is left
+    t0 = ModelTree.new_tree(16, "balanced")
+    a3 = online_transform(_DetoursFirst(t0.copy(), {8: [66, _AB_BUDGET - 66, 64, 64, 4, 0]}))
+    a3.access(8)
+    assert a3.access(8) == _A_BUDGET + 6
+    assert a3.counters.actions == {"BC": 1, "AC": 1} and len(a3.queue) == 2
+    assert a3.access(4) == 4 + 6 + 1
+    assert a3.counters.actions == {"BC": 1, "AC": 1, "AB": 1} and a3.counters.restarts == 1
+    assert not len(a3.queue) and a3._proc is None
+    assert verify_trace(t0, a3.trace, [8, 8, 4], boundaries=a3.trace.boundaries).valid
 
 
 def test_online_stream_that_never_finishes_overflows_the_queue():
@@ -411,3 +481,86 @@ def test_cell_reference_reaches_a_host_that_is_not_the_key(algo):
     hosted elsewhere, and routine C still walks to that host."""
     keys = _repeated_keys(random.Random(3), 128, 60)
     assert _run_both_queues(algo, 128, "linear-right", None, True, keys) > 0
+
+
+class _FixedBudgetB(OnlineWorstCaseAlgorithm):
+    """Routine B with f(n) ops of its own, whatever routine A left: the
+    budget from before A and B shared theirs, kept as the reference. A
+    pulls only while the queue is non-empty and B only once it is empty."""
+
+    def _pull(self, gen, budget):
+        return super()._pull(gen, budget if len(self.queue) else self.f_n)
+
+
+class _SpendLog:
+    """Logs, per request, each burst that routine A or B pulls and each of
+    A's dequeue walks, in order: ``steps`` holds (routine or "walk", ops)."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.steps = []
+        dequeue = self.queue.dequeue
+
+        def logged_dequeue():
+            key, walk = dequeue()
+            self.steps.append(("walk", len(walk)))
+            return key, walk
+
+        self.queue.dequeue = logged_dequeue
+
+    def _pull(self, gen, budget):
+        routine = "A" if len(self.queue) else "B"
+
+        def logged(burst):
+            self.steps.append((routine, burst[0]))
+            return burst
+
+        return super()._pull(map(logged, gen), budget)
+
+
+class _LoggedShared(_SpendLog, OnlineWorstCaseAlgorithm):
+    pass
+
+
+class _LoggedFixed(_SpendLog, _FixedBudgetB):
+    pass
+
+
+def _last_step(steps):
+    """The ops of the last burst, with the dequeue walk after it if any."""
+    last = steps[-1][1]
+    return last + steps[-2][1] if steps[-1][0] == "walk" else last
+
+
+@pytest.mark.parametrize("seq", ["uniform", "sequential"])
+@pytest.mark.parametrize("algo", ["splay", "mtr", "static"])
+def test_online_shared_budget_against_the_fixed_b_reference(algo, seq):
+    """Per request, A and B together spend at most (d+1)*f(n) plus the last
+    burst (with its dequeue walk, if it was A's): that burst started below
+    the shared budget. In both runs A's last burst started below d*f(n); the
+    fixed-f(n) reference keeps the older bound, A's d*f(n) and B's f(n) each
+    plus its own last burst. Both traces verify and neither queue outgrows
+    n."""
+    n, m = 256, 256
+    keys = gen_sequence(SequenceSpec(seq, n, m, 7))
+    d_f = FROZEN["ONLINE_D"] * math.log2(n)
+    f = math.log2(n)
+    runs = [make(wrap(ALGORITHMS[algo](ModelTree.new_tree(n, "balanced"))))
+            for make in (_LoggedShared, _LoggedFixed)]
+    new, ref = runs
+    t0 = new.tree.copy()
+    for k in keys:
+        for alg in runs:
+            alg.steps = []
+            alg.access(k)
+        if new.steps:
+            assert sum(ops for _, ops in new.steps) - _last_step(new.steps) < d_f + f
+        for alg, budgets in ((new, (("A", d_f),)), (ref, (("A", d_f), ("B", f)))):
+            for routine, budget in budgets:
+                spent = [ops for r, ops in alg.steps if r == routine]
+                if spent:
+                    assert sum(spent) - spent[-1] < budget
+    for alg in runs:
+        assert alg.counters.max_queue <= n
+        rep = verify_trace(t0, alg.trace, keys, boundaries=alg.trace.boundaries)
+        assert rep.valid, rep.reason

@@ -14,7 +14,13 @@ of one checkout on one interpreter print the same line.
 Beside the counts it prints two model costs of the online-uniform
 analogue: its simulator's physical ops per virtual op (the measured side
 of ``C_SIM``), and its trace's cost over those physical ops (the online
-transform's overhead: queue walks, direct searches and walks back up).
+transform's overhead: queue walks, direct searches and walks back up),
+and its online transform's action counts (``counters.actions``, sorted by
+key): per combination of routines A (drain the queue), B (run the request's
+own stream) and C (direct search and enqueue), the requests it served. The
+overhead can read 1.0 while routine C still runs (a search for the key at
+the root and a cell hosted there cost no op), so the actions show which
+routines the bytecode count covers.
 Then it prints the simulator's O(n) state: the bytes that
 ``tracemalloc`` sees held by an eager ``wrap`` of splay over a balanced
 tree of n=2^14 nodes (the virtual tree, the physical arrays and every
@@ -27,8 +33,9 @@ Usage, from the repository root::
     python3 tools/opcount.py
 
 prints one JSON object: the Python version, per analogue its count (and
-after online-uniform's, ``online-uniform-phys-per-virtual`` and
-``online-uniform-overhead``), and ``wrap-state-bytes``.
+after online-uniform's, ``online-uniform-phys-per-virtual``,
+``online-uniform-overhead`` and ``online-uniform-actions``), and
+``wrap-state-bytes``.
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ def main() -> None:
             c = alg.tree.counters
             out["online-uniform-phys-per-virtual"] = round(c.physical_ops / c.virtual_ops, 4)
             out["online-uniform-overhead"] = round(alg.trace.cost / c.physical_ops, 4)
+            out["online-uniform-actions"] = dict(sorted(alg.counters.actions.items()))
     out["wrap-state-bytes"] = wrap_state_bytes()
     print(json.dumps(out))
 
